@@ -19,10 +19,9 @@ from .cohomology import (
     CohRing,
     ManifoldModel,
     ModelMismatch,
-    as_fraction,
     unit_class,
 )
-from .series import QQ, QSeries
+from .series import QQ, QSeries, as_fraction
 
 
 class VirtualBundle(ValueError):

@@ -24,8 +24,7 @@ from .index import (
     preset_spec,
 )
 from .localization import NormalDecomposition, WeightError
-from .oracles import direct_cplane_index, partition_numbers
-from .series import NotInvertible, QQ, QSeries, render_series
+from .series import NotInvertible, as_fraction, render_series
 
 DEFAULT_ORDER = 10
 
@@ -50,21 +49,6 @@ def _expect_object(value: Any, path: str, allowed: set[str], required: set[str])
     return value
 
 
-def _rational(value: Any, path: str) -> Fraction:
-    if isinstance(value, bool):
-        raise SchemaError(path, "expected an exact rational, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise SchemaError(path, 'floats are inexact; write rationals as strings "p/q"')
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(path, f"not a rational: {value!r}") from None
-    raise SchemaError(path, f"expected an exact rational, got {type(value).__name__}")
-
-
 def _integer(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(path, f"expected an integer, got {value!r}")
@@ -74,7 +58,23 @@ def _integer(value: Any, path: str) -> int:
 def _root_list(value: Any, path: str) -> tuple[Fraction, ...]:
     if not isinstance(value, list):
         raise SchemaError(path, "expected an array of rationals")
-    return tuple(_rational(entry, f"{path}[{i}]") for i, entry in enumerate(value))
+    roots = []
+    for i, entry in enumerate(value):
+        try:
+            roots.append(as_fraction(entry))
+        except ValueError as exc:
+            raise SchemaError(f"{path}[{i}]", str(exc)) from None
+    return tuple(roots)
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """JSON object hook: a repeated key is an error, not a silent overwrite."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError("$", f"duplicate field {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _bundle(value: Any, path: str, model: ManifoldModel, *, allow_minus: bool = True,
@@ -91,7 +91,7 @@ def _bundle(value: Any, path: str, model: ManifoldModel, *, allow_minus: bool = 
 def parse_problem(text: str) -> ProblemSpec:
     """Parse and validate a JSON problem document into a ProblemSpec."""
     try:
-        document = json.loads(text)
+        document = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON ({exc})") from None
     top = _expect_object(
@@ -122,7 +122,7 @@ def parse_problem(text: str) -> ProblemSpec:
             weight = _integer(obj["weight"], f"{path}.weight")
             if weight < 1:
                 raise WeightError(
-                    f"normal weight must be a positive integer, got {weight}"
+                    f"{path}.weight: normal weight must be a positive integer, got {weight}"
                 )
             components.append((weight, bundle))
         normal = NormalDecomposition(model, components)
@@ -162,21 +162,6 @@ def parse_problem(text: str) -> ProblemSpec:
     )
 
 
-def _oracle_series(preset: str, order: int) -> QSeries:
-    """Recompute a preset by its independent oracle (debugging aid)."""
-    if preset.startswith("cplane:"):
-        weight = int(preset[len("cplane:"):])
-        return direct_cplane_index(weight, (1,), order)
-    if preset == "ls2" or preset.startswith("lsigma:"):
-        scale = 1
-        if preset.startswith("lsigma:"):
-            scale = 1 - int(preset[len("lsigma:"):])
-        table = partition_numbers(order)
-        terms = {n: scale * table.convolution(n) for n in range(order + 1)}
-        return QSeries.from_terms(QQ, terms, order)
-    raise ValueError(f"no oracle for preset {preset!r}")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equindex",
@@ -200,7 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text", help="output format"
     )
     parser.add_argument("--output", metavar="FILE", help="write here instead of stdout")
-    parser.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 
@@ -213,14 +197,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         if args.preset is not None:
             order = args.order if args.order is not None else DEFAULT_ORDER
-            if args.oracle:
-                series = _oracle_series(args.preset, order)
-            else:
-                series = localized_index(preset_spec(args.preset, order))
+            series = localized_index(preset_spec(args.preset, order))
         else:
-            if args.oracle:
-                print("equindex: --oracle requires --preset", file=sys.stderr)
-                return 1
             try:
                 with open(args.input, "r", encoding="utf-8") as handle:
                     text = handle.read()

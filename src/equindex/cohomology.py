@@ -3,16 +3,18 @@
 Every supported manifold has monogenic even cohomology, so a class is
 just the vector of its coefficients in 1, x, ..., x^m with exact rational
 entries.  The model records the top index m, the value of the integral of
-x^m over the manifold, and the real dimension (for reporting).
+x^m over the manifold, the real dimension (for reporting), and the genus
+of a surface.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .series import CoefficientRing, NotInvertible, QQ
+from .series import CoefficientRing, NotInvertible, as_fraction
 
 
 class UnsupportedModel(ValueError):
@@ -29,6 +31,7 @@ class ManifoldModel:
     top_index: int
     integral_normalization: Fraction
     real_dimension: int
+    genus: int | None = None  # set for closed orientable surfaces only
 
     def __post_init__(self) -> None:
         if self.top_index < 0:
@@ -52,10 +55,10 @@ def model_from_name(name: str) -> ManifoldModel:
     if name == "point":
         return ManifoldModel("point", 0, Fraction(1), 0)
     if name == "s2":
-        return ManifoldModel("s2", 1, Fraction(1), 2)
+        return ManifoldModel("s2", 1, Fraction(1), 2, genus=0)
     if name.startswith("sigma:"):
-        _parse_suffix(name, "sigma:", minimum=0)  # validate the genus
-        return ManifoldModel(name, 1, Fraction(1), 2)
+        genus = _parse_suffix(name, "sigma:", minimum=0)
+        return ManifoldModel(f"sigma:{genus}", 1, Fraction(1), 2, genus=genus)
     if name.startswith("cpn:"):
         n = _parse_suffix(name, "cpn:", minimum=1)
         return ManifoldModel(name, n, Fraction(1), 2 * n)
@@ -71,17 +74,6 @@ def _parse_suffix(name: str, prefix: str, minimum: int) -> int:
     if value < minimum:
         raise UnsupportedModel(f"manifold parameter out of range: {name!r}")
     return value
-
-
-def as_fraction(value: Any) -> Fraction:
-    """Exact rational coercion; floats are refused."""
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, bool):
-        raise ValueError("booleans are not rational values")
-    if isinstance(value, float):
-        raise ValueError("floating point input is inexact; use p/q strings")
-    return Fraction(value)
 
 
 @dataclasses.dataclass(init=False, eq=True)
@@ -211,11 +203,11 @@ class CohRing(CoefficientRing):
     def name(self) -> str:  # type: ignore[override]
         return f"H({self.model})"
 
-    @property
+    @functools.cached_property
     def zero(self) -> CohClass:  # type: ignore[override]
         return CohClass([0] * (self.model.top_index + 1))
 
-    @property
+    @functools.cached_property
     def one(self) -> CohClass:  # type: ignore[override]
         return unit_class(self.model)
 
@@ -223,7 +215,7 @@ class CohRing(CoefficientRing):
         if isinstance(value, CohClass):
             _check_model(value, self.model)
             return value
-        return scalar_class(self.model, QQ.coerce(value))
+        return scalar_class(self.model, value)
 
     def is_zero(self, value: CohClass) -> bool:
         return value.is_zero

@@ -160,28 +160,18 @@ def localized_index(spec: ProblemSpec) -> QSeries:
 
 
 def loop_space_index(surface: ManifoldModel, E: EquivariantBundle, order: int) -> QSeries:
-    """Index of the loop space of a closed orientable surface.
-
-    The tangent root is the Euler number: 2 for the sphere, 2 - 2g for
-    the genus-g surface; other models are rejected.
-    """
-    root = _surface_tangent_root(surface)
-    tangent = RootBundle(surface, (root,))
-    spec = ProblemSpec(
-        model=surface, tangent=tangent, normal=LOOP, F=E, L=DifferenceLine(), order=order
-    )
-    return localized_index(spec)
+    """Index of the loop space of a closed orientable surface (s2 or sigma:<g>)."""
+    return localized_index(_loop_spec(surface, E, order))
 
 
-def _surface_tangent_root(surface: ManifoldModel) -> int:
-    if surface.name == "s2":
-        return 2
-    if surface.name.startswith("sigma:"):
-        genus = int(surface.name.split(":", 1)[1])
-        return 2 - 2 * genus
-    raise UnsupportedModel(
-        f"loop-space index needs a surface model (s2 or sigma:<g>), got {surface}"
-    )
+def _loop_spec(surface: ManifoldModel, F: EquivariantBundle, order: int) -> ProblemSpec:
+    """The loop-space problem; the tangent root is the Euler number 2 - 2g."""
+    if surface.genus is None:
+        raise UnsupportedModel(
+            f"loop-space index needs a surface model (s2 or sigma:<g>), got {surface}"
+        )
+    tangent = RootBundle(surface, (2 - 2 * surface.genus,))
+    return ProblemSpec(model=surface, tangent=tangent, normal=LOOP, F=F, order=order)
 
 
 def compact_trivial_index(
@@ -190,19 +180,17 @@ def compact_trivial_index(
     """Index with trivial rotation action: no normal data, no twist.
 
     Each weight contributes its ordinary index, so the result is the
-    exact Laurent polynomial  sum_a (integral of ch(F_a) td(tangent)) q^a.
+    exact Laurent polynomial  sum_a (integral of ch(F_a) td(tangent)) q^a,
+    known through the largest weight.
     """
-    if tangent.model != model:
-        raise ModelMismatch("tangent bundle lives on a different model")
-    if F.model != model:
-        raise ModelMismatch("coefficient bundle lives on a different model")
-    tangent_todd = todd_class(tangent)
-    integrated = {
-        weight: coh_integrate(coh_mul(chern_character(bundle), tangent_todd, model), model)
-        for weight, bundle in F.terms
-    }
-    order = max((weight for weight in integrated), default=0)
-    return QSeries.from_terms(QQ, integrated, order)
+    weights = [weight for weight, _ in F.terms]
+    highest = max(weights, default=0)
+    # localized_index loses the lowest negative weight off the top of its window
+    order = highest - min(0, min(weights, default=0))
+    spec = ProblemSpec(
+        model=model, tangent=tangent, normal=NormalDecomposition(model), F=F, order=order
+    )
+    return localized_index(spec).truncate(highest)
 
 
 # -- presets ----------------------------------------------------------
@@ -249,34 +237,18 @@ def preset_spec(name: str, order: int) -> ProblemSpec:
     ``lsigma:<g>``: the loop space of the genus-g surface, trivial F.
     """
     if name.startswith("cplane:"):
-        return cplane_spec(_parse_int(name, "cplane:"), (1,), order)
+        try:
+            weight = int(name[len("cplane:"):])
+        except ValueError:
+            raise ValueError(f"preset parameter must be an integer: {name!r}") from None
+        return cplane_spec(weight, (1,), order)
     if name == "ls2":
         surface = model_from_name("s2")
-        return ProblemSpec(
-            model=surface,
-            tangent=RootBundle(surface, (2,)),
-            normal=LOOP,
-            F=EquivariantBundle.trivial(surface),
-            order=order,
-        )
-    if name.startswith("lsigma:"):
-        genus = _parse_int(name, "lsigma:")
-        if genus < 0:
-            raise ValueError(f"genus must be nonnegative: {name!r}")
-        surface = model_from_name(f"sigma:{genus}")
-        return ProblemSpec(
-            model=surface,
-            tangent=RootBundle(surface, (2 - 2 * genus,)),
-            normal=LOOP,
-            F=EquivariantBundle.trivial(surface),
-            order=order,
-        )
-    raise ValueError(f"unknown preset {name!r}")
-
-
-def _parse_int(name: str, prefix: str) -> int:
-    text = name[len(prefix):]
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"preset parameter must be an integer: {name!r}") from None
+    elif name.startswith("lsigma:"):
+        try:
+            surface = model_from_name("sigma:" + name[len("lsigma:"):])
+        except UnsupportedModel:
+            raise ValueError(f"genus must be a nonnegative integer: {name!r}") from None
+    else:
+        raise ValueError(f"unknown preset {name!r}")
+    return _loop_spec(surface, EquivariantBundle.trivial(surface), order)

@@ -79,21 +79,34 @@ class IntegerRing(CoefficientRing):
         return value
 
 
+def as_fraction(value: Any) -> Fraction:
+    """The one exact rational coercion: ints, Fractions and "p/q" strings.
+
+    Floats and booleans are refused, since neither is an exact rational.
+    """
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, bool):
+        raise ValueError("expected an exact rational, got a boolean")
+    if isinstance(value, float):
+        raise ValueError('floats are inexact; write rationals as strings "p/q"')
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"not a rational: {value!r}") from None
+    raise ValueError(f"expected an exact rational, got {type(value).__name__}")
+
+
 class RationalRing(CoefficientRing):
     """The field of rationals; every nonzero element is a unit."""
 
     name = "QQ"
     zero = Fraction(0)
     one = Fraction(1)
-
-    def coerce(self, value: Any) -> Fraction:
-        if isinstance(value, bool):
-            raise ValueError("booleans are not rational coefficients")
-        if isinstance(value, float):
-            raise ValueError("floating point input is inexact; use p/q strings")
-        if isinstance(value, (int, Fraction, str)):
-            return Fraction(value)
-        raise ValueError(f"not an exact rational: {value!r}")
+    coerce = staticmethod(as_fraction)
 
     def is_unit(self, value: Fraction) -> bool:
         return value != 0
@@ -133,21 +146,33 @@ class QSeries:
     order: int
 
     def __init__(self, ring: CoefficientRing, lowest: int, coeffs: Any, order: int):
-        window = [ring.coerce(c) for c in coeffs]
+        self._normalise(ring, lowest, [ring.coerce(c) for c in coeffs], order)
+
+    def _normalise(self, ring: CoefficientRing, lowest: int, window: Any, order: int) -> None:
+        end = len(window)
         # drop whatever the truncation order does not cover
-        if lowest + len(window) - 1 > order:
-            window = window[: max(order - lowest + 1, 0)]
-        while window and ring.is_zero(window[0]):
-            window.pop(0)
-            lowest += 1
-        while window and ring.is_zero(window[-1]):
-            window.pop()
-        if not window:
-            lowest = 0
+        if lowest + end - 1 > order:
+            end = max(order - lowest + 1, 0)
+        start = 0
+        while start < end and ring.is_zero(window[start]):
+            start += 1
+        while end > start and ring.is_zero(window[end - 1]):
+            end -= 1
         self.ring = ring
-        self.lowest = lowest
-        self.coeffs = tuple(window)
+        self.lowest = lowest + start if start < end else 0
+        self.coeffs = tuple(window[start:end])
         self.order = order
+
+    @classmethod
+    def _trusted(cls, ring: CoefficientRing, lowest: int, window: Any, order: int) -> "QSeries":
+        """Normal form of a window whose entries are already ring elements.
+
+        Arithmetic builds its results here, so coefficients are coerced
+        only once, by the public constructors.
+        """
+        series = cls.__new__(cls)
+        series._normalise(ring, lowest, window, order)
+        return series
 
     # -- constructors -------------------------------------------------
 
@@ -170,7 +195,7 @@ class QSeries:
         highest = max(terms)
         window = [ring.zero] * (highest - lowest + 1)
         for exponent, value in terms.items():
-            window[exponent - lowest] = ring.coerce(value)
+            window[exponent - lowest] = value
         return cls(ring, lowest, window, order)
 
     # -- inspection ---------------------------------------------------
@@ -208,13 +233,20 @@ class QSeries:
             return NotImplemented
         self._check_ring(other)
         order = min(self.order, other.order)
-        acc: dict[int, Scalar] = dict(self.terms())
-        for exponent, value in other.terms():
-            if exponent in acc:
-                acc[exponent] = acc[exponent] + value
+        if not other.coeffs:
+            return self.truncate(order)
+        if not self.coeffs:
+            return other.truncate(order)
+        low, high = (self, other) if self.lowest <= other.lowest else (other, self)
+        window = list(low.coeffs)
+        start = high.lowest - low.lowest
+        window.extend([self.ring.zero] * (start - len(window)))
+        for k, value in enumerate(high.coeffs, start):
+            if k < len(window):
+                window[k] = window[k] + value
             else:
-                acc[exponent] = value
-        return QSeries.from_terms(self.ring, acc, order)
+                window.append(value)
+        return QSeries._trusted(self.ring, low.lowest, window, order)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
@@ -222,28 +254,32 @@ class QSeries:
         return self + (-other)
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.ring, self.lowest, [-c for c in self.coeffs], self.order)
+        return QSeries._trusted(self.ring, self.lowest, [-c for c in self.coeffs], self.order)
 
     def __mul__(self, other: Any) -> "QSeries":
         if not isinstance(other, QSeries):
             return self.scale(other)
         self._check_ring(other)
+        ring = self.ring
         # how far the product is determined by the two truncation windows
         order = min(self.order + other.lowest, other.order + self.lowest)
-        acc: dict[int, Scalar] = {}
-        mine = list(self.terms())
-        theirs = list(other.terms())
-        for e1, c1 in mine:
-            for e2, c2 in theirs:
-                exponent = e1 + e2
-                if exponent > order:
-                    break  # theirs is sorted by exponent
+        lowest = self.lowest + other.lowest
+        size = max(min(len(self.coeffs) + len(other.coeffs) - 1, order - lowest + 1), 0)
+        # zero tests cost a pass over a class on H(M): once per operand term, not per pair
+        mine = [(i, c) for i, c in enumerate(self.coeffs[:size]) if not ring.is_zero(c)]
+        theirs = [(j, c) for j, c in enumerate(other.coeffs[:size]) if not ring.is_zero(c)]
+        window: list = [None] * size
+        for i, c1 in mine:
+            for j, c2 in theirs:
+                k = i + j
+                if k >= size:
+                    break
                 value = c1 * c2
-                if exponent in acc:
-                    acc[exponent] = acc[exponent] + value
-                else:
-                    acc[exponent] = value
-        return QSeries.from_terms(self.ring, acc, order)
+                acc = window[k]
+                window[k] = value if acc is None else acc + value
+        zero = ring.zero
+        window = [zero if value is None else value for value in window]
+        return QSeries._trusted(ring, lowest, window, order)
 
     def __rmul__(self, other: Any) -> "QSeries":
         return self.scale(other)
@@ -259,19 +295,19 @@ class QSeries:
     def scale(self, value: Any) -> "QSeries":
         """Multiply every coefficient by a ring element."""
         value = self.ring.coerce(value)
-        return QSeries(
+        return QSeries._trusted(
             self.ring, self.lowest, [value * c for c in self.coeffs], self.order
         )
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by q^k: exponents and the order both move by k."""
-        return QSeries(self.ring, self.lowest + k, self.coeffs, self.order + k)
+        return QSeries._trusted(self.ring, self.lowest + k, self.coeffs, self.order + k)
 
     def truncate(self, order: int) -> "QSeries":
         """Forget everything above q^order (never adds knowledge)."""
         if order >= self.order:
             return self
-        return QSeries(self.ring, self.lowest, self.coeffs, order)
+        return QSeries._trusted(self.ring, self.lowest, self.coeffs, order)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse via a geometric (Neumann) series.

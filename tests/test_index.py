@@ -19,6 +19,7 @@ from equindex import (
     RootBundle,
     UnsupportedModel,
     VirtualBundle,
+    ZZ,
     compact_trivial_index,
     cplane_spec,
     direct_cplane_index,
@@ -73,6 +74,20 @@ def test_plane_negative_weight_is_a_signed_shift():
             assert_same_series(
                 negative, direct_cplane_index(weight, coefficients, 16), 16
             )
+
+
+def test_presets_match_their_oracles():
+    order = 9
+    table = partition_numbers(order)
+    oracles = {
+        "ls2": QSeries(ZZ, 0, [table.convolution(n) for n in range(order + 1)], order),
+        "lsigma:2": QSeries(ZZ, 0, [-table.convolution(n) for n in range(order + 1)], order),
+        "cplane:3": direct_cplane_index(3, (1,), order),
+        "cplane:-2": direct_cplane_index(-2, (1,), order),
+    }
+    for preset, oracle in oracles.items():
+        expected = QSeries.from_terms(QQ, dict(oracle.terms()), oracle.order)
+        assert localized_index(preset_spec(preset, order)) == expected, preset
 
 
 def test_plane_rejects_weight_zero():

@@ -8,9 +8,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import equindex.series
-from equindex import NotInvertible, QQ, QSeries, ZZ, naive_inverse, partition_numbers
+from equindex import (
+    CohClass,
+    CohRing,
+    NotInvertible,
+    QQ,
+    QSeries,
+    ZZ,
+    model_from_name,
+    naive_inverse,
+    partition_numbers,
+)
 from support import (
     S2_RING,
     assert_is_one,
@@ -126,6 +138,68 @@ def test_truncation_stability_of_products():
         assert_same_series(
             (a * b).truncate(smaller), a.truncate(smaller) * b.truncate(smaller)
         )
+
+
+CP2_RING = CohRing(model_from_name("cpn:2"))
+RING_ELEMENTS = {
+    ZZ: st.integers(-3, 3),
+    QQ: st.fractions(-2, 2, max_denominator=3),
+    # entries drawn so that zero and nilpotent classes (x * x^2 = 0) are common
+    CP2_RING: st.lists(
+        st.sampled_from((0, 0, 1, -1, Fraction(1, 2))), min_size=3, max_size=3
+    ).map(CohClass),
+}
+
+
+@st.composite
+def series_pairs(draw):
+    """Two Laurent series over one ring, with zeros inside their windows.
+
+    Half the time b negates a's first and last raw terms at the same
+    exponents, so that a + b cancels at both ends of the window.
+    """
+    ring = draw(st.sampled_from(list(RING_ELEMENTS)))
+    elements = st.lists(RING_ELEMENTS[ring], max_size=8)
+    a_low, b_low = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+    a_window, b_window = draw(elements), draw(elements)
+    if a_window and draw(st.booleans()):
+        b_low = a_low
+        middle = [] if len(a_window) == 1 else draw(
+            st.lists(RING_ELEMENTS[ring], min_size=len(a_window) - 2, max_size=len(a_window) - 2)
+        )
+        b_window = [-a_window[0], *middle, -a_window[-1]][: len(a_window)]
+    a = QSeries(ring, a_low, a_window, a_low + draw(st.integers(-1, 10)))
+    b = QSeries(ring, b_low, b_window, b_low + draw(st.integers(-1, 10)))
+    return a, b
+
+
+def assert_normal_form(series: QSeries) -> None:
+    if series.is_zero:
+        assert series.lowest == 0
+    else:
+        assert not series.ring.is_zero(series.coeffs[0])
+        assert not series.ring.is_zero(series.coeffs[-1])
+        assert series.lowest + len(series.coeffs) - 1 <= series.order
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_pairs())
+def test_sum_and_product_are_coefficientwise(pair):
+    a, b = pair
+    ring = a.ring
+    total = a + b
+    assert total.order == min(a.order, b.order)
+    for n in range(min(a.lowest, b.lowest) - 1, total.order + 1):
+        assert total.coefficient(n) == a.coefficient(n) + b.coefficient(n)
+    product = a * b
+    assert product.order == min(a.order + b.lowest, b.order + a.lowest)
+    for n in range(a.lowest + b.lowest - 1, product.order + 1):
+        expected = ring.zero
+        for i in range(a.lowest, n - b.lowest + 1):
+            expected = expected + a.coefficient(i) * b.coefficient(n - i)
+        assert product.coefficient(n) == expected
+    assert_normal_form(total)
+    assert_normal_form(product)
 
 
 # -- inversion ---------------------------------------------------------
