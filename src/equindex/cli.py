@@ -108,7 +108,7 @@ def parse_problem(text: str) -> ProblemSpec:
     except UnsupportedModel as exc:
         raise SchemaError("manifold", str(exc)) from None
 
-    _, tangent = _bundle(top["tangent"], "tangent", model)
+    _, tangent = _bundle(top["tangent"], "tangent", model, allow_minus=False)
 
     normal_value = top["normal"]
     if normal_value == LOOP:

@@ -92,6 +92,17 @@ class CohClass:
             raise ValueError("a cohomology class needs at least the degree-0 entry")
         self.coeffs = window
 
+    @classmethod
+    def _trusted(cls, window: tuple[Fraction, ...]) -> "CohClass":
+        """A class from a nonempty tuple of Fractions, taken as it is.
+
+        Arithmetic builds its results here, so entries are coerced only
+        once, by the public constructor.
+        """
+        value = cls.__new__(cls)
+        value.coeffs = window
+        return value
+
     @property
     def scalar_part(self) -> Fraction:
         return self.coeffs[0]
@@ -108,16 +119,16 @@ class CohClass:
         if not isinstance(other, CohClass):
             return NotImplemented
         self._check_length(other)
-        return CohClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return CohClass._trusted(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "CohClass") -> "CohClass":
         if not isinstance(other, CohClass):
             return NotImplemented
         self._check_length(other)
-        return CohClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return CohClass._trusted(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "CohClass":
-        return CohClass(tuple(-a for a in self.coeffs))
+        return CohClass._trusted(tuple(-a for a in self.coeffs))
 
     def __mul__(self, other: Any) -> "CohClass":
         if isinstance(other, CohClass):
@@ -131,9 +142,9 @@ class CohClass:
                     b = other.coeffs[j]
                     if b != 0:
                         out[i + j] += a * b
-            return CohClass(tuple(out))
+            return CohClass._trusted(tuple(out))
         scalar = as_fraction(other)
-        return CohClass(tuple(scalar * a for a in self.coeffs))
+        return CohClass._trusted(tuple(scalar * a for a in self.coeffs))
 
     def __rmul__(self, other: Any) -> "CohClass":
         return self.__mul__(other)

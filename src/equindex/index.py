@@ -118,32 +118,30 @@ class ProblemSpec:
 def localized_index(spec: ProblemSpec) -> QSeries:
     """Evaluate the fixed-point integral as a q-series over the rationals.
 
-    The result is truncated at the requested order; with an exponent
-    shift from the difference line or negative F-weights the naturally
-    determined window can end lower, and then the smaller order wins.
+    The result is known exactly through q^order: with negative F-weights
+    or a negative difference-line shift, the inverse Euler class is taken
+    that much further so that nothing is lost off the top of the window.
     """
     order = spec.order
     model = spec.model
     ring = CohRing(model)
-    if isinstance(spec.normal, str):
-        decomposition = loop_normal_decomposition(spec.tangent, order)
-    else:
-        decomposition = spec.normal
-    inverse_euler = inverse_euler_class(decomposition, order)
 
     character_terms = {}
     for weight, bundle in spec.F.terms:
         value = chern_character(bundle)
         if not value.is_zero:
             character_terms[weight] = value
-    if character_terms:
-        # an exact Laurent polynomial: give it just enough window that the
-        # product with the inverse Euler class is determined up to the order
-        character = QSeries.from_terms(
-            ring, character_terms, order + min(character_terms)
-        )
+    lowest = min(character_terms, default=0)
+    work = order - min(0, lowest + spec.L.weight)
+
+    if isinstance(spec.normal, str):
+        decomposition = loop_normal_decomposition(spec.tangent, work)
     else:
-        character = QSeries.zero(ring, order)
+        decomposition = spec.normal
+    inverse_euler = inverse_euler_class(decomposition, work)
+    # an exact Laurent polynomial: give it just enough window that the
+    # product with the inverse Euler class is determined up to the order
+    character = QSeries.from_terms(ring, character_terms, work + lowest)
 
     total = character * inverse_euler
     if spec.L.sign < 0:
@@ -183,12 +181,11 @@ def compact_trivial_index(
     exact Laurent polynomial  sum_a (integral of ch(F_a) td(tangent)) q^a,
     known through the largest weight.
     """
-    weights = [weight for weight, _ in F.terms]
-    highest = max(weights, default=0)
-    # localized_index loses the lowest negative weight off the top of its window
-    order = highest - min(0, min(weights, default=0))
+    highest = max((weight for weight, _ in F.terms), default=0)
+    # a problem's order is nonnegative: with only negative weights, cut back after
     spec = ProblemSpec(
-        model=model, tangent=tangent, normal=NormalDecomposition(model), F=F, order=order
+        model=model, tangent=tangent, normal=NormalDecomposition(model), F=F,
+        order=max(highest, 0),
     )
     return localized_index(spec).truncate(highest)
 

@@ -6,15 +6,20 @@ a q-series with cohomology-class coefficients whose q^0 term is the unit.
 Because only weights up to the truncation order contribute modulo
 q^(order+1), an infinite (loop-space) family of weights is handled by
 materializing weights 1..order only.
+
+The inverse Euler class never forms the Euler class: it divides the unit
+series by each factor (1 - q^w e^(rx)) in turn, over integers.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+from fractions import Fraction
 from typing import Iterable
 
 from .charclasses import RootBundle, VirtualBundle, lambda_minus_t_factor
-from .cohomology import CohRing, ManifoldModel, ModelMismatch
+from .cohomology import CohClass, CohRing, ManifoldModel, ModelMismatch
 from .series import QSeries
 
 
@@ -89,5 +94,36 @@ def euler_class(decomposition: NormalDecomposition, order: int) -> QSeries:
 
 
 def inverse_euler_class(decomposition: NormalDecomposition, order: int) -> QSeries:
-    """Inverse of the Euler class modulo q^(order+1)."""
-    return euler_class(decomposition, order).inverse()
+    """Inverse of the Euler class modulo q^(order+1), one factor at a time.
+
+    Dividing g by (1 - q^w e^(rx)) is the in-place recurrence
+    g_n += e^(rx) g_(n-w) for ascending n.  Classes are carried in the
+    divided-power basis y^k/k! of y = x/D, with D the lcm of the root
+    denominators: there e^(rx) has the integer coordinates (rD)^j and
+    y^i/i! * y^j/j! = C(i+j, i) y^(i+j)/(i+j)!, so the loop is pure int.
+    """
+    top = decomposition.model.top_index
+    scale = math.lcm(
+        *(root.denominator for _, bundle in decomposition.components for root in bundle.plus_roots)
+    )
+    series = [[0] * (top + 1) for _ in range(order + 1)]
+    series[0][0] = 1
+    for weight, bundle in decomposition.components:
+        if weight > order:
+            continue  # contributes 1 modulo q^(order+1)
+        for root in bundle.plus_roots:
+            step = int(root * scale)
+            # kernel[k][j]: coordinate k of e^(rx) * (y^(k-j)/(k-j)!), i.e. C(k, j) (rD)^j
+            kernel = [
+                [math.comb(k, j) * step**j for j in range(k + 1)] for k in range(top + 1)
+            ]
+            for n in range(weight, order + 1):
+                source, target = series[n - weight], series[n]
+                for k, row in enumerate(kernel):
+                    target[k] += sum(c * source[k - j] for j, c in enumerate(row))
+    denominators = [math.factorial(k) * scale**k for k in range(top + 1)]
+    coefficients = [
+        CohClass([Fraction(c, d) for c, d in zip(entry, denominators)])
+        for entry in series
+    ]
+    return QSeries(CohRing(decomposition.model), 0, coefficients, order)

@@ -2,7 +2,7 @@
 
 Each oracle computes a quantity the engine also produces, but by a
 deliberately different algorithm: a counting DP instead of a product
-inversion, long division instead of a geometric series, a literal double
+inversion, long division instead of Newton iteration, a literal double
 sum instead of the fixed-point pipeline.  Agreement between the two
 routes is what the test suite leans on.
 """
@@ -52,7 +52,7 @@ def partition_numbers(limit: int) -> PartitionTable:
 def naive_inverse(series: QSeries, order: int) -> QSeries:
     """Series inverse by long division, term by recursive term.
 
-    Independent of the engine's geometric-series route: coefficient n of
+    Independent of the engine's Newton iteration: coefficient n of
     the inverse is read off directly from the convolution identity
     a * b = 1 once coefficients 0..n-1 of b are known.
     """

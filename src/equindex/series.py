@@ -310,12 +310,12 @@ class QSeries:
         return QSeries._trusted(self.ring, self.lowest, self.coeffs, order)
 
     def inverse(self) -> "QSeries":
-        """Multiplicative inverse via a geometric (Neumann) series.
+        """Multiplicative inverse by Newton iteration at doubling precision.
 
-        Writing the series as c * q^L * (1 + t) with t of positive
-        valuation, the inverse is c^(-1) * q^(-L) * sum((-t)^k); the sum
-        is finite modulo the truncation order.  Requires the leading
-        coefficient to be a unit of the coefficient ring.
+        Writing the series as c * q^L * a with a(0) = 1, an inverse b of a
+        correct modulo q^k gives b - b(ab - 1), correct modulo q^(2k); the
+        result is c^(-1) * q^(-L) * b.  Requires the leading coefficient to
+        be a unit of the coefficient ring.
 
         >>> str(QSeries(ZZ, 0, (1, -1), 4).inverse())
         '1 + q + q^2 + q^3 + q^4'
@@ -329,14 +329,16 @@ class QSeries:
             raise NotInvertible(f"leading coefficient {lead!r} is not a unit")
         lead_inv = self.ring.invert_unit(lead)
         work = self.order - self.lowest
-        unit = self.shift(-self.lowest).scale(lead_inv)  # 1 + t, t of valuation >= 1
-        tail = unit - QSeries.one(self.ring, work)
-        total = QSeries.one(self.ring, work)
-        power = QSeries.one(self.ring, work)
-        while not power.is_zero:
-            power = (power * (-tail)).truncate(work)
-            total = total + power
-        return total.scale(lead_inv).shift(-self.lowest)
+        unit = self.shift(-self.lowest).scale(lead_inv)  # a, with a(0) = 1
+        inverse = QSeries.one(self.ring, 0)
+        while inverse.order < work:
+            precision = min(2 * inverse.order + 1, work)
+            # the current inverse is an exact polynomial; only its error term
+            # ab - 1, of valuation above the old precision, limits the new one
+            inverse = QSeries._trusted(self.ring, 0, inverse.coeffs, precision)
+            error = unit.truncate(precision) * inverse - QSeries.one(self.ring, precision)
+            inverse = inverse - inverse * error
+        return inverse.scale(lead_inv).shift(-self.lowest)
 
     # -- rendering ----------------------------------------------------
 

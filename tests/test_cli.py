@@ -149,6 +149,10 @@ def test_schema_violations_exit_one(tmp_path):
             "must be empty",
         ),
         (
+            json.dumps({**LS2_DOC, "tangent": {"plus": [2], "minus": [1]}}),
+            "tangent.minus: must be empty here",
+        ),
+        (
             json.dumps({**LS2_DOC, "normal": [{"weight": 0, "plus": [0]}]}),
             "positive",
             "normal[0].weight",

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equindex import (
     LOOP,
@@ -303,6 +306,48 @@ def test_unknown_presets_are_rejected():
     for bad in ("ls3", "cplane:0", "cplane:x", "lsigma:-1", ""):
         with pytest.raises(ValueError):
             preset_spec(bad, 4)
+
+
+ROOTS = st.sampled_from([Fraction(1, 2), Fraction(-2, 3), 0, 1, -2, 3])
+
+
+@st.composite
+def problems_with_low_weights(draw):
+    """Problems whose F-weights and difference-line weight may be negative."""
+    model = model_from_name(draw(st.sampled_from(["point", "s2", "cpn:2"])))
+    bundles = st.builds(
+        lambda plus, minus: RootBundle(model, plus, minus),
+        st.lists(ROOTS, max_size=2),
+        st.lists(ROOTS, max_size=1),
+    )
+    tangent = RootBundle(
+        model, draw(st.lists(ROOTS, min_size=model.top_index, max_size=model.top_index))
+    )
+    if model.top_index == 1 and draw(st.booleans()):
+        normal = LOOP
+    else:
+        components = st.tuples(st.integers(1, 4), st.lists(ROOTS, max_size=2))
+        normal = NormalDecomposition(
+            model,
+            [(w, RootBundle(model, roots)) for w, roots in draw(st.lists(components, max_size=2))],
+        )
+    return ProblemSpec(
+        model=model,
+        tangent=tangent,
+        normal=normal,
+        F=EquivariantBundle(model, draw(st.lists(st.tuples(st.integers(-6, 3), bundles), max_size=3))),
+        L=DifferenceLine(draw(st.sampled_from((1, -1))), draw(st.integers(-6, 3))),
+        order=draw(st.integers(0, 7)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(problems_with_low_weights())
+def test_the_requested_order_is_honoured(spec):
+    out = localized_index(spec)
+    assert out.order == spec.order
+    longer = localized_index(dataclasses.replace(spec, order=spec.order + 2))
+    assert out == longer.truncate(spec.order)
 
 
 def test_integer_inputs_stay_integral():

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equindex import (
     CohClass,
@@ -19,6 +22,7 @@ from equindex import (
     inverse_euler_class,
     loop_normal_decomposition,
     model_from_name,
+    naive_inverse,
     partition_numbers,
 )
 from support import assert_is_one, assert_same_series, random_decomposition
@@ -149,3 +153,46 @@ def test_euler_class_truncation_stability():
             inverse_euler_class(decomposition, high).truncate(low),
             inverse_euler_class(decomposition, low),
         )
+
+
+# roots whose denominators mix 1, 2, 3, 4 and 6, so that y = x/12 is needed
+ROOTS = st.sampled_from(
+    [Fraction(1, 2), Fraction(2, 3), Fraction(-5, 6), Fraction(7, 4), 0, 1, -1, -3, 2]
+)
+
+
+@st.composite
+def decompositions(draw, order):
+    name = draw(
+        st.one_of(
+            st.sampled_from(["point", "s2"]),
+            st.integers(0, 4).map(lambda genus: f"sigma:{genus}"),
+            st.integers(2, 4).map(lambda n: f"cpn:{n}"),
+        )
+    )
+    model = model_from_name(name)
+    components = draw(
+        st.lists(
+            # weights above the order contribute 1 and must be skipped
+            st.tuples(st.integers(1, order + 3), st.lists(ROOTS, max_size=3)),
+            max_size=4,
+        )
+    )
+    return NormalDecomposition(
+        model, [(weight, RootBundle(model, roots)) for weight, roots in components]
+    )
+
+
+@st.composite
+def decompositions_with_orders(draw):
+    order = draw(st.integers(0, 9))
+    return draw(decompositions(order)), order
+
+
+@settings(max_examples=150, deadline=None)
+@given(decompositions_with_orders())
+def test_inverse_euler_class_is_long_division_of_the_euler_class(case):
+    decomposition, order = case
+    assert inverse_euler_class(decomposition, order) == naive_inverse(
+        euler_class(decomposition, order), order
+    )
