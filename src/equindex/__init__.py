@@ -25,7 +25,6 @@ from .cohomology import (
     ModelMismatch,
     UnsupportedModel,
     coh_integrate,
-    coh_mul,
     model_from_name,
     scalar_class,
     unit_class,
@@ -72,7 +71,7 @@ __all__ = [
     "QSeries", "NotInvertible", "render_series",
     # cohomology
     "ManifoldModel", "model_from_name", "CohClass", "CohRing",
-    "coh_mul", "coh_integrate", "scalar_class", "unit_class",
+    "coh_integrate", "scalar_class", "unit_class",
     "ModelMismatch", "UnsupportedModel",
     # characteristic classes
     "RootBundle", "VirtualBundle", "chern_character", "todd_class",

@@ -13,8 +13,8 @@ import sys
 from fractions import Fraction
 from typing import Any
 
-from .charclasses import RootBundle, VirtualBundle
-from .cohomology import ManifoldModel, ModelMismatch, UnsupportedModel, model_from_name
+from .charclasses import RootBundle
+from .cohomology import ManifoldModel, UnsupportedModel, model_from_name
 from .index import (
     LOOP,
     DifferenceLine,
@@ -209,15 +209,7 @@ def run(argv: list[str] | None = None) -> int:
             if args.order is not None:
                 spec = dataclasses.replace(spec, order=args.order)
             series = localized_index(spec)
-    except (
-        SchemaError,
-        WeightError,
-        ModelMismatch,
-        UnsupportedModel,
-        VirtualBundle,
-        NotInvertible,
-        ValueError,
-    ) as exc:
+    except (ValueError, NotInvertible) as exc:
         print(f"equindex: {exc}", file=sys.stderr)
         return 1
 

@@ -187,13 +187,6 @@ def _check_model(a: CohClass, model: ManifoldModel) -> None:
         )
 
 
-def coh_mul(a: CohClass, b: CohClass, model: ManifoldModel) -> CohClass:
-    """Cup product in Q[x]/(x^(m+1))."""
-    _check_model(a, model)
-    _check_model(b, model)
-    return a * b
-
-
 def coh_integrate(a: CohClass, model: ManifoldModel) -> Fraction:
     """Integrate over the manifold: the x^m coefficient times the normalization."""
     _check_model(a, model)

@@ -17,21 +17,13 @@ import dataclasses
 from typing import Iterable, Sequence, Union
 
 from .charclasses import RootBundle, VirtualBundle, chern_character, todd_class
-from .cohomology import (
-    CohRing,
-    ManifoldModel,
-    ModelMismatch,
-    UnsupportedModel,
-    coh_integrate,
-    coh_mul,
-    model_from_name,
-)
+from .cohomology import ManifoldModel, ModelMismatch, UnsupportedModel, model_from_name
 from .localization import (
     NormalDecomposition,
-    inverse_euler_class,
+    fixed_point_integral,
     loop_normal_decomposition,
 )
-from .series import QQ, QSeries
+from .series import QSeries
 
 LOOP = "loop"  # marker for the loop-space normal family
 
@@ -118,43 +110,24 @@ class ProblemSpec:
 def localized_index(spec: ProblemSpec) -> QSeries:
     """Evaluate the fixed-point integral as a q-series over the rationals.
 
-    The result is known exactly through q^order: with negative F-weights
-    or a negative difference-line shift, the inverse Euler class is taken
-    that much further so that nothing is lost off the top of the window.
+    The result is known exactly through q^order: the quotient by the
+    Euler class is taken through q^(order - L.weight), from the lowest
+    F-weight up, before the difference line's sign and shift.
     """
-    order = spec.order
-    model = spec.model
-    ring = CohRing(model)
-
-    character_terms = {}
-    for weight, bundle in spec.F.terms:
-        value = chern_character(bundle)
-        if not value.is_zero:
-            character_terms[weight] = value
-    lowest = min(character_terms, default=0)
-    work = order - min(0, lowest + spec.L.weight)
-
+    top = spec.order - spec.L.weight
+    # a term with zero character contributes nothing, so it does not lower the window
+    terms = [(weight, bundle) for weight, bundle in spec.F.terms
+             if not chern_character(bundle).is_zero]
     if isinstance(spec.normal, str):
-        decomposition = loop_normal_decomposition(spec.tangent, work)
+        # a normal weight k moves a term up by k: only k <= top - lowest are seen
+        depth = top - min((weight for weight, _ in terms), default=top)
+        decomposition = loop_normal_decomposition(spec.tangent, depth)
     else:
         decomposition = spec.normal
-    inverse_euler = inverse_euler_class(decomposition, work)
-    # an exact Laurent polynomial: give it just enough window that the
-    # product with the inverse Euler class is determined up to the order
-    character = QSeries.from_terms(ring, character_terms, work + lowest)
-
-    total = character * inverse_euler
+    total = fixed_point_integral(decomposition, todd_class(spec.tangent), terms, top)
     if spec.L.sign < 0:
         total = -total
-    total = total.shift(spec.L.weight)
-
-    tangent_todd = todd_class(spec.tangent)
-    integrated = {
-        exponent: coh_integrate(coh_mul(value, tangent_todd, model), model)
-        for exponent, value in total.terms()
-    }
-    result = QSeries.from_terms(QQ, integrated, total.order)
-    return result.truncate(order)
+    return total.shift(spec.L.weight)
 
 
 def loop_space_index(surface: ManifoldModel, E: EquivariantBundle, order: int) -> QSeries:

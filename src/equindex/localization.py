@@ -7,8 +7,9 @@ Because only weights up to the truncation order contribute modulo
 q^(order+1), an infinite (loop-space) family of weights is handled by
 materializing weights 1..order only.
 
-The inverse Euler class never forms the Euler class: it divides the unit
-series by each factor (1 - q^w e^(rx)) in turn, over integers.
+The inverse Euler class and the fixed-point integral never form the Euler
+class: they divide the unit, or ch(F), by each factor (1 - q^w e^(rx)) in
+turn, over integers.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .charclasses import RootBundle, VirtualBundle, lambda_minus_t_factor
-from .cohomology import CohClass, CohRing, ManifoldModel, ModelMismatch
-from .series import QSeries
+from .cohomology import CohClass, CohRing, ManifoldModel, ModelMismatch, coh_integrate
+from .series import QQ, QSeries
 
 
 class WeightError(ValueError):
@@ -94,36 +95,68 @@ def euler_class(decomposition: NormalDecomposition, order: int) -> QSeries:
 
 
 def inverse_euler_class(decomposition: NormalDecomposition, order: int) -> QSeries:
-    """Inverse of the Euler class modulo q^(order+1), one factor at a time.
+    """Inverse of the Euler class modulo q^(order+1): the quotient of the unit class."""
+    model = decomposition.model
+    _, rows, denominators = _quotient(decomposition, ((0, RootBundle(model, (0,))),), order)
+    coefficients = [
+        CohClass([Fraction(c, d) for c, d in zip(row, denominators)]) for row in rows
+    ]
+    return QSeries(CohRing(model), 0, coefficients, order)
 
-    Dividing g by (1 - q^w e^(rx)) is the in-place recurrence
-    g_n += e^(rx) g_(n-w) for ascending n.  Classes are carried in the
-    divided-power basis y^k/k! of y = x/D, with D the lcm of the root
-    denominators: there e^(rx) has the integer coordinates (rD)^j and
-    y^i/i! * y^j/j! = C(i+j, i) y^(i+j)/(i+j)!, so the loop is pure int.
+
+def fixed_point_integral(decomposition: NormalDecomposition, todd: CohClass,
+                         terms: Sequence[tuple[int, RootBundle]], top: int) -> QSeries:
+    """The integral of todd * ch(F) / eul(normal) over the fixed manifold, through q^top.
+
+    ``terms`` are the summands (a, F_a) of F, at distinct weights a.
     """
-    top = decomposition.model.top_index
-    scale = math.lcm(
-        *(root.denominator for _, bundle in decomposition.components for root in bundle.plus_roots)
-    )
-    series = [[0] * (top + 1) for _ in range(order + 1)]
-    series[0][0] = 1
+    model = decomposition.model
+    lowest, rows, denominators = _quotient(decomposition, terms, top)
+    size = len(denominators)
+    # f_k integrates the basis class y^k/k! = x^k/(k! D^k) against todd
+    functional = [
+        coh_integrate(todd * CohClass([0] * k + [Fraction(1, d)] + [0] * (size - k - 1)), model)
+        for k, d in enumerate(denominators)
+    ]
+    # over a common denominator, a row's integral is an int dot product and one Fraction
+    common = math.lcm(*(f.denominator for f in functional))
+    weights = [f.numerator * (common // f.denominator) for f in functional]
+    values = [Fraction(sum(c * w for c, w in zip(row, weights)), common) for row in rows]
+    return QSeries(QQ, lowest, values, top)
+
+
+def _quotient(decomposition: NormalDecomposition, terms: Sequence[tuple[int, RootBundle]],
+              top: int) -> tuple[int, list[list[int]], list[int]]:
+    """ch(F) / eul(normal) from the lowest weight in ``terms`` through q^top.
+
+    Classes are carried in the divided-power basis y^k/k! of y = x/D, with
+    D the lcm of the root denominators: there e^(rx) has the integer
+    coordinates (rD)^k, so ch(F_a) starts row a as power sums, and
+    y^i/i! * y^j/j! = C(i+j, i) y^(i+j)/(i+j)!.  Dividing by (1 - q^w e^(rx))
+    is the in-place recurrence g_n += e^(rx) g_(n-w) for ascending n, pure
+    int.  Returns the lowest weight, the rows and the denominators k! D^k.
+    """
+    size = decomposition.model.top_index + 1
+    bundles = [bundle for _, bundle in (*decomposition.components, *terms)]
+    scale = math.lcm(*(r.denominator for b in bundles for r in b.plus_roots + b.minus_roots))
+    lowest = min((weight for weight, _ in terms), default=top + 1)
+    rows = [[0] * size for _ in range(lowest, top + 1)]
+    for weight, bundle in terms:
+        if weight <= top:
+            plus = [int(root * scale) for root in bundle.plus_roots]
+            minus = [int(root * scale) for root in bundle.minus_roots]
+            rows[weight - lowest] = [
+                sum(r**k for r in plus) - sum(r**k for r in minus) for k in range(size)
+            ]
     for weight, bundle in decomposition.components:
-        if weight > order:
-            continue  # contributes 1 modulo q^(order+1)
+        if weight >= len(rows):
+            continue  # contributes 1 through q^top
         for root in bundle.plus_roots:
             step = int(root * scale)
             # kernel[k][j]: coordinate k of e^(rx) * (y^(k-j)/(k-j)!), i.e. C(k, j) (rD)^j
-            kernel = [
-                [math.comb(k, j) * step**j for j in range(k + 1)] for k in range(top + 1)
-            ]
-            for n in range(weight, order + 1):
-                source, target = series[n - weight], series[n]
+            kernel = [[math.comb(k, j) * step**j for j in range(k + 1)] for k in range(size)]
+            for n in range(weight, len(rows)):
+                source, target = rows[n - weight], rows[n]
                 for k, row in enumerate(kernel):
                     target[k] += sum(c * source[k - j] for j, c in enumerate(row))
-    denominators = [math.factorial(k) * scale**k for k in range(top + 1)]
-    coefficients = [
-        CohClass([Fraction(c, d) for c, d in zip(entry, denominators)])
-        for entry in series
-    ]
-    return QSeries(CohRing(decomposition.model), 0, coefficients, order)
+    return lowest, rows, [math.factorial(k) * scale**k for k in range(size)]

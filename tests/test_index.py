@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from equindex import (
     LOOP,
+    CohRing,
     DifferenceLine,
     EquivariantBundle,
     ModelMismatch,
@@ -23,14 +25,20 @@ from equindex import (
     UnsupportedModel,
     VirtualBundle,
     ZZ,
+    chern_character,
+    coh_integrate,
     compact_trivial_index,
     cplane_spec,
     direct_cplane_index,
+    euler_class,
     localized_index,
+    loop_normal_decomposition,
     loop_space_index,
     model_from_name,
+    naive_inverse,
     partition_numbers,
     preset_spec,
+    todd_class,
 )
 from support import assert_same_series
 
@@ -240,6 +248,19 @@ def test_empty_normal_data_reduces_to_the_compact_index():
     assert_same_series(localized_index(spec), compact_trivial_index(S2, tangent, bundle))
 
 
+def test_hirzebruch_riemann_roch_on_projective_spaces():
+    # chi(CP^n, O(k)) = (k+1)...(k+n)/n!; the Euler sequence gives td(CP^n)
+    # from n+1 roots 1, the trivial summand's root 0 having Todd factor 1
+    for n in range(1, 5):
+        model = model_from_name(f"cpn:{n}")
+        tangent = RootBundle(model, (1,) * (n + 1))
+        for k in range(-n - 2, 4):
+            line = EquivariantBundle(model, ((0, RootBundle(model, (k,))),))
+            expected = Fraction(math.prod(range(k + 1, k + n + 1)), math.factorial(n))
+            out = compact_trivial_index(model, tangent, line)
+            assert out == QSeries.from_terms(QQ, {0: expected}, 0), (n, k)
+
+
 def test_rational_roots_integrate_exactly():
     tangent = RootBundle(S2, ("1/2",))
     out = compact_trivial_index(S2, tangent, EquivariantBundle.trivial(S2))
@@ -308,13 +329,17 @@ def test_unknown_presets_are_rejected():
             preset_spec(bad, 4)
 
 
-ROOTS = st.sampled_from([Fraction(1, 2), Fraction(-2, 3), 0, 1, -2, 3])
+ROOTS = st.sampled_from(
+    [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), Fraction(-7, 4), 0, 1, -2, 3]
+)
 
 
 @st.composite
 def problems_with_low_weights(draw):
     """Problems whose F-weights and difference-line weight may be negative."""
-    model = model_from_name(draw(st.sampled_from(["point", "s2", "cpn:2"])))
+    model = model_from_name(
+        draw(st.sampled_from(["point", "s2", "sigma:2", "cpn:2", "cpn:3", "cpn:4"]))
+    )
     bundles = st.builds(
         lambda plus, minus: RootBundle(model, plus, minus),
         st.lists(ROOTS, max_size=2),
@@ -335,9 +360,11 @@ def problems_with_low_weights(draw):
         model=model,
         tangent=tangent,
         normal=normal,
-        F=EquivariantBundle(model, draw(st.lists(st.tuples(st.integers(-6, 3), bundles), max_size=3))),
-        L=DifferenceLine(draw(st.sampled_from((1, -1))), draw(st.integers(-6, 3))),
-        order=draw(st.integers(0, 7)),
+        F=EquivariantBundle(
+            model, draw(st.lists(st.tuples(st.integers(-6, 4), bundles), min_size=1, max_size=3))
+        ),
+        L=DifferenceLine(draw(st.sampled_from((1, -1))), draw(st.integers(-6, 4))),
+        order=draw(st.integers(0, 9)),
     )
 
 
@@ -354,3 +381,27 @@ def test_integer_inputs_stay_integral():
     for name in ("ls2", "lsigma:3", "cplane:2", "cplane:-2"):
         out = localized_index(preset_spec(name, 14))
         assert all(value.denominator == 1 for _, value in out.terms())
+
+
+def _product_route(spec: ProblemSpec) -> QSeries:
+    """ch(F) times the long-division inverse of the Euler class, integrated term by term."""
+    characters = {weight: chern_character(bundle) for weight, bundle in spec.F.terms}
+    characters = {weight: value for weight, value in characters.items() if not value.is_zero}
+    lowest = min(characters, default=0)
+    work = spec.order - min(0, lowest + spec.L.weight)
+    if isinstance(spec.normal, str):
+        normal = loop_normal_decomposition(spec.tangent, work)
+    else:
+        normal = spec.normal
+    inverse = naive_inverse(euler_class(normal, work), work)
+    total = QSeries.from_terms(CohRing(spec.model), characters, work + lowest) * inverse
+    todd = todd_class(spec.tangent)
+    integrated = {n: coh_integrate(value * todd, spec.model) for n, value in total.terms()}
+    out = QSeries.from_terms(QQ, integrated, total.order).scale(spec.L.sign)
+    return out.shift(spec.L.weight).truncate(spec.order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems_with_low_weights())
+def test_the_integral_matches_the_product_route(spec):
+    assert localized_index(spec) == _product_route(spec)

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import doctest
 import random
 
 import pytest
 
-import equindex.oracles
 from equindex import (
     NotInvertible,
     QSeries,
@@ -118,7 +116,3 @@ def test_direct_cplane_negative_weight_sign_and_shift():
 def test_direct_cplane_rejects_weight_zero():
     with pytest.raises(ValueError):
         direct_cplane_index(0, (1,), 4)
-
-
-def test_doctests():
-    assert doctest.testmod(equindex.oracles).failed == 0

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import doctest
 import json
 import random
 from fractions import Fraction
@@ -11,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import equindex.series
 from equindex import (
     CohClass,
     CohRing,
@@ -294,7 +292,3 @@ def test_json_round_trip():
 
 def test_json_of_zero_series():
     assert QSeries.zero(QQ, 8).to_json() == {"lowest": 0, "order": 8, "coeffs": []}
-
-
-def test_doctests():
-    assert doctest.testmod(equindex.series).failed == 0
