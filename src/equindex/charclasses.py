@@ -9,7 +9,6 @@ building block of normal-bundle Euler classes.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Sequence
@@ -21,21 +20,21 @@ from .cohomology import (
     ModelMismatch,
     unit_class,
 )
-from .series import QQ, QSeries, as_fraction
+from .series import QQ, QSeries, Record, as_fraction
 
 
 class VirtualBundle(ValueError):
     """An operation needing a genuine bundle met nonempty minus_roots."""
 
 
-@dataclasses.dataclass(init=False, eq=True)
-class RootBundle:
+class RootBundle(Record):
     """A virtual bundle: formal difference of sums of line bundles.
 
     ``plus_roots`` and ``minus_roots`` are multisets of rational Chern
     roots, stored sorted so equal bundles compare equal.
     """
 
+    _fields = ("model", "plus_roots", "minus_roots")
     model: ManifoldModel
     plus_roots: tuple[Fraction, ...]
     minus_roots: tuple[Fraction, ...]

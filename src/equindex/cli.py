@@ -6,12 +6,9 @@ weights, models, invertibility), 2 for I/O failures.
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
-import json
 import sys
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .charclasses import RootBundle
 from .cohomology import ManifoldModel, UnsupportedModel, model_from_name
@@ -25,6 +22,9 @@ from .index import (
 )
 from .localization import NormalDecomposition, WeightError
 from .series import NotInvertible, as_fraction, render_series
+
+if TYPE_CHECKING:
+    import argparse
 
 DEFAULT_ORDER = 10
 
@@ -90,6 +90,8 @@ def _bundle(value: Any, path: str, model: ManifoldModel, *, allow_minus: bool = 
 
 def parse_problem(text: str) -> ProblemSpec:
     """Parse and validate a JSON problem document into a ProblemSpec."""
+    import json
+
     try:
         document = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -163,6 +165,8 @@ def parse_problem(text: str) -> ProblemSpec:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="equindex",
         description="Evaluate equivariant localized indices as exact q-series.",
@@ -207,13 +211,16 @@ def run(argv: list[str] | None = None) -> int:
                 return 2
             spec = parse_problem(text)
             if args.order is not None:
-                spec = dataclasses.replace(spec, order=args.order)
+                spec = ProblemSpec(model=spec.model, tangent=spec.tangent, normal=spec.normal,
+                                   F=spec.F, L=spec.L, order=args.order)
             series = localized_index(spec)
     except (ValueError, NotInvertible) as exc:
         print(f"equindex: {exc}", file=sys.stderr)
         return 1
 
     if args.format == "json":
+        import json
+
         rendered = json.dumps(series.to_json())
     else:
         rendered = render_series(series)

@@ -9,12 +9,11 @@ of a surface.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .series import CoefficientRing, NotInvertible, as_fraction
+from .series import CoefficientRing, FrozenRecord, NotInvertible, Record, as_fraction
 
 
 class UnsupportedModel(ValueError):
@@ -25,22 +24,27 @@ class ModelMismatch(ValueError):
     """Two objects built over different manifold models were combined."""
 
 
-@dataclasses.dataclass(frozen=True)
-class ManifoldModel:
-    name: str
-    top_index: int
-    integral_normalization: Fraction
-    real_dimension: int
-    genus: int | None = None  # set for closed orientable surfaces only
+class ManifoldModel(FrozenRecord):
+    _fields = ("name", "top_index", "integral_normalization", "real_dimension", "genus")
 
-    def __post_init__(self) -> None:
-        if self.top_index < 0:
+    def __init__(
+        self,
+        name: str,
+        top_index: int,
+        integral_normalization: Fraction,
+        real_dimension: int,
+        genus: int | None = None,  # set for closed orientable surfaces only
+    ):
+        if top_index < 0:
             raise ValueError("top cohomology index must be nonnegative")
-        object.__setattr__(
-            self, "integral_normalization", Fraction(self.integral_normalization)
-        )
-        if self.top_index > 0 and self.integral_normalization == 0:
+        integral_normalization = Fraction(integral_normalization)
+        if top_index > 0 and integral_normalization == 0:
             raise ValueError("a positive-dimensional model needs a nonzero integral")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "top_index", top_index)
+        object.__setattr__(self, "integral_normalization", integral_normalization)
+        object.__setattr__(self, "real_dimension", real_dimension)
+        object.__setattr__(self, "genus", genus)
 
     def __str__(self) -> str:
         return self.name
@@ -76,14 +80,14 @@ def _parse_suffix(name: str, prefix: str, minimum: int) -> int:
     return value
 
 
-@dataclasses.dataclass(init=False, eq=True)
-class CohClass:
+class CohClass(Record):
     """An even cohomology class: coeffs[j] multiplies x^j, truncated past x^m.
 
     The vector length is fixed by the model (m + 1 entries); operations
     require equal lengths and truncate products back to the same length.
     """
 
+    _fields = ("coeffs",)
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Sequence[Any]):
@@ -193,15 +197,17 @@ def coh_integrate(a: CohClass, model: ManifoldModel) -> Fraction:
     return a.coeffs[model.top_index] * model.integral_normalization
 
 
-@dataclasses.dataclass(frozen=True)
-class CohRing(CoefficientRing):
+class CohRing(FrozenRecord, CoefficientRing):
     """Cohomology classes of a fixed model as a series coefficient ring.
 
     Units are the classes with scalar part +-1 (everything above degree
     zero is nilpotent, so a finite geometric sum inverts them exactly).
     """
 
-    model: ManifoldModel
+    _fields = ("model",)
+
+    def __init__(self, model: ManifoldModel):
+        object.__setattr__(self, "model", model)
 
     @property
     def name(self) -> str:  # type: ignore[override]

@@ -13,7 +13,6 @@ collected as an exact q-series with rational coefficients.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterable, Sequence, Union
 
 from .charclasses import RootBundle, VirtualBundle, chern_character, todd_class
@@ -23,33 +22,33 @@ from .localization import (
     fixed_point_integral,
     loop_normal_decomposition,
 )
-from .series import QSeries
+from .series import FrozenRecord, QSeries, Record
 
 LOOP = "loop"  # marker for the loop-space normal family
 
 
-@dataclasses.dataclass(frozen=True)
-class DifferenceLine:
+class DifferenceLine(FrozenRecord):
     """A one-dimensional twist: contributes sign * q^weight."""
 
-    sign: int = 1
-    weight: int = 0
+    _fields = ("sign", "weight")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.sign, bool) or self.sign not in (1, -1):
-            raise ValueError(f"difference line sign must be +1 or -1, got {self.sign!r}")
-        if not isinstance(self.weight, int) or isinstance(self.weight, bool):
-            raise ValueError(f"difference line weight must be an integer, got {self.weight!r}")
+    def __init__(self, sign: int = 1, weight: int = 0):
+        if isinstance(sign, bool) or sign not in (1, -1):
+            raise ValueError(f"difference line sign must be +1 or -1, got {sign!r}")
+        if not isinstance(weight, int) or isinstance(weight, bool):
+            raise ValueError(f"difference line weight must be an integer, got {weight!r}")
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "weight", weight)
 
 
-@dataclasses.dataclass(init=False, eq=True)
-class EquivariantBundle:
+class EquivariantBundle(Record):
     """The coefficient bundle F = sum over weights a of F_a q^a.
 
     Terms are ((weight, bundle), ...), merged by weight and sorted;
     weights may be any integers and the bundles may be virtual.
     """
 
+    _fields = ("model", "terms")
     model: ManifoldModel
     terms: tuple[tuple[int, RootBundle], ...]
 
@@ -77,34 +76,42 @@ class EquivariantBundle:
         return cls(model, ((0, RootBundle(model, (0,))),))
 
 
-@dataclasses.dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(FrozenRecord):
     """Everything the localized index needs, validated for model agreement."""
 
-    model: ManifoldModel
-    tangent: RootBundle
-    normal: Union[NormalDecomposition, str]
-    F: EquivariantBundle
-    L: DifferenceLine = DifferenceLine()
-    order: int = 10
+    _fields = ("model", "tangent", "normal", "F", "L", "order")
 
-    def __post_init__(self) -> None:
-        if self.tangent.model != self.model:
+    def __init__(
+        self,
+        model: ManifoldModel,
+        tangent: RootBundle,
+        normal: Union[NormalDecomposition, str],
+        F: EquivariantBundle,
+        L: DifferenceLine = DifferenceLine(),
+        order: int = 10,
+    ):
+        if tangent.model != model:
             raise ModelMismatch("tangent bundle lives on a different model")
-        if not self.tangent.is_genuine:
+        if not tangent.is_genuine:
             raise VirtualBundle("the tangent bundle must be genuine (no minus roots)")
-        if isinstance(self.normal, str):
-            if self.normal != LOOP:
-                raise ValueError(f"unknown normal marker {self.normal!r}")
-        elif isinstance(self.normal, NormalDecomposition):
-            if self.normal.model != self.model:
+        if isinstance(normal, str):
+            if normal != LOOP:
+                raise ValueError(f"unknown normal marker {normal!r}")
+        elif isinstance(normal, NormalDecomposition):
+            if normal.model != model:
                 raise ModelMismatch("normal data lives on a different model")
         else:
             raise ValueError("normal must be a NormalDecomposition or the loop marker")
-        if self.F.model != self.model:
+        if F.model != model:
             raise ModelMismatch("coefficient bundle lives on a different model")
-        if not isinstance(self.order, int) or isinstance(self.order, bool) or self.order < 0:
-            raise ValueError(f"truncation order must be a nonnegative integer, got {self.order!r}")
+        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
+            raise ValueError(f"truncation order must be a nonnegative integer, got {order!r}")
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "tangent", tangent)
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "order", order)
 
 
 def localized_index(spec: ProblemSpec) -> QSeries:

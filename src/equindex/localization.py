@@ -14,28 +14,27 @@ turn, over integers.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .charclasses import RootBundle, VirtualBundle, lambda_minus_t_factor
 from .cohomology import CohClass, CohRing, ManifoldModel, ModelMismatch, coh_integrate
-from .series import QQ, QSeries
+from .series import QQ, QSeries, Record
 
 
 class WeightError(ValueError):
     """A normal-direction rotation weight that is not a positive integer."""
 
 
-@dataclasses.dataclass(init=False, eq=True)
-class NormalDecomposition:
+class NormalDecomposition(Record):
     """Weighted summands of the normal data: ((weight, bundle), ...).
 
     Construction merges repeated weights by direct sum, sorts by weight,
     and insists on genuine bundles with strictly positive weights.
     """
 
+    _fields = ("model", "components")
     model: ManifoldModel
     components: tuple[tuple[int, RootBundle], ...]
 

@@ -13,7 +13,6 @@ truncation windows.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from typing import Any, Iterator, Mapping
 
@@ -22,6 +21,46 @@ Scalar = Any  # a coefficient-ring element: int, Fraction, or a class supplied b
 
 class NotInvertible(ArithmeticError):
     """Raised when a series (or a coefficient) has no multiplicative inverse."""
+
+
+class Record:
+    """Value semantics for the package's records, whose fields ``_fields`` names.
+
+    Two records are equal when they are of the same class and their fields
+    are equal; ``repr`` lists the fields as ``Name(field=value, ...)``.
+    A record whose fields may be reassigned is unhashable.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other is self:  # as the field tuples would, without building them
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record whose fields are set once, by ``__init__``, and hashed."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class CoefficientRing:
@@ -121,8 +160,7 @@ ZZ = IntegerRing()
 QQ = RationalRing()
 
 
-@dataclasses.dataclass(init=False, eq=True)
-class QSeries:
+class QSeries(Record):
     """A q-series known exactly modulo q^(order+1).
 
     The stored window runs from ``lowest`` upward; the leading stored
@@ -140,6 +178,7 @@ class QSeries:
     '1'
     """
 
+    _fields = ("ring", "lowest", "coeffs", "order")
     ring: CoefficientRing
     lowest: int
     coeffs: tuple

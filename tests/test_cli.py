@@ -35,15 +35,20 @@ LS2_DOC = {
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    """Run what the ``equindex`` script runs, importing this checkout's sources."""
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's sources."""
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-c", "from equindex.cli import main; main()", *args],
+        [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """Run what the ``equindex`` script runs."""
+    return run_python("from equindex.cli import main; main()", *args)
 
 
 def test_preset_text_goldens():
@@ -225,6 +230,45 @@ def test_source_flags_are_mutually_exclusive(tmp_path):
     assert result.returncode == 2  # argparse usage error
     result = run_cli()
     assert result.returncode == 2
+
+
+# Modules that importing the package must not load: ``dataclasses`` brings in
+# ``inspect``, ``ast`` and more, and every CLI start pays for what the import loads.
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import equindex
+print(sorted({"dataclasses", "inspect", "argparse", "json"} & (set(sys.modules) - before)))
+print(" ".join(equindex.__all__))
+equindex.cli.run(["--preset", "cplane:1", "--order", "3"])
+print("json" in set(sys.modules) - before)
+equindex.cli.run(["--preset", "cplane:1", "--order", "3", "--format", "json"])
+print("json" in set(sys.modules) - before)
+"""
+
+PUBLIC_NAMES = (
+    "CoefficientRing IntegerRing RationalRing ZZ QQ QSeries NotInvertible render_series "
+    "ManifoldModel model_from_name CohClass CohRing coh_integrate scalar_class unit_class "
+    "ModelMismatch UnsupportedModel RootBundle VirtualBundle chern_character todd_class "
+    "lambda_minus_t_factor exponential_class NormalDecomposition WeightError "
+    "loop_normal_decomposition euler_class inverse_euler_class ProblemSpec EquivariantBundle "
+    "DifferenceLine LOOP localized_index loop_space_index compact_trivial_index cplane_spec "
+    "preset_spec PartitionTable partition_numbers naive_inverse direct_cplane_index "
+    "SchemaError parse_problem __version__"
+)
+
+
+def test_import_loads_json_only_for_json_output():
+    result = run_python(IMPORT_PROBE)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "[]",
+        PUBLIC_NAMES,
+        "1 + q + q^2 + q^3",
+        "False",
+        '{"lowest": 0, "order": 3, "coeffs": ["1", "1", "1", "1"]}',
+        "True",
+    ]
 
 
 def test_negative_order_flag_is_rejected():

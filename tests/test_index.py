@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -173,7 +172,6 @@ def test_loop_space_index_needs_a_surface():
 
 
 def test_difference_line_multiplies_exactly():
-    rng = random.Random(79)
     base_spec = preset_spec("ls2", 10)
     base = localized_index(base_spec)
     for sign in (1, -1):
@@ -188,7 +186,6 @@ def test_difference_line_multiplies_exactly():
             )
             out = localized_index(twisted)
             assert_same_series(out, base.scale(sign).shift(weight))
-    del rng
 
 
 def test_index_is_additive_in_the_coefficient_bundle():
@@ -373,7 +370,10 @@ def problems_with_low_weights(draw):
 def test_the_requested_order_is_honoured(spec):
     out = localized_index(spec)
     assert out.order == spec.order
-    longer = localized_index(dataclasses.replace(spec, order=spec.order + 2))
+    longer = localized_index(
+        ProblemSpec(model=spec.model, tangent=spec.tangent, normal=spec.normal,
+                    F=spec.F, L=spec.L, order=spec.order + 2)
+    )
     assert out == longer.truncate(spec.order)
 
 

@@ -3,17 +3,28 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equindex import (
+    LOOP,
+    DifferenceLine,
+    EquivariantBundle,
     NotInvertible,
+    ProblemSpec,
     QSeries,
+    RootBundle,
     ZZ,
     direct_cplane_index,
+    localized_index,
+    model_from_name,
     naive_inverse,
     partition_numbers,
 )
+from equindex.oracles import plethystic_loop_index
 from support import assert_same_series, random_zz_series
 
 
@@ -116,3 +127,38 @@ def test_direct_cplane_negative_weight_sign_and_shift():
 def test_direct_cplane_rejects_weight_zero():
     with pytest.raises(ValueError):
         direct_cplane_index(0, (1,), 4)
+
+
+ROOTS = st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), -1, 0, 1, 2, -3])
+
+
+@st.composite
+def loop_problems(draw):
+    """Loop-space problems with rational tangent roots, virtual F and shifted weights."""
+    model = model_from_name(
+        draw(st.sampled_from(["cpn:3", "cpn:2", "s2", "sigma:0", "sigma:1", "sigma:2", "sigma:3"]))
+    )
+    bundles = st.builds(
+        lambda plus, minus: RootBundle(model, plus, minus),
+        st.lists(ROOTS, max_size=2),
+        st.lists(ROOTS, max_size=2),
+    )
+    tangent = RootBundle(
+        model, draw(st.lists(ROOTS, min_size=model.top_index, max_size=model.top_index))
+    )
+    return ProblemSpec(
+        model=model,
+        tangent=tangent,
+        normal=LOOP,
+        F=EquivariantBundle(
+            model, draw(st.lists(st.tuples(st.integers(-4, 4), bundles), min_size=1, max_size=3))
+        ),
+        L=DifferenceLine(draw(st.sampled_from((1, -1))), draw(st.integers(-4, 4))),
+        order=draw(st.integers(0, 8)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(loop_problems())
+def test_plethystic_oracle_matches_the_engine(spec):
+    assert plethystic_loop_index(spec) == localized_index(spec)

@@ -13,16 +13,21 @@ from hypothesis import strategies as st
 from equindex import (
     CohClass,
     CohRing,
+    DifferenceLine,
+    EquivariantBundle,
+    ManifoldModel,
+    NormalDecomposition,
     NotInvertible,
+    ProblemSpec,
     QQ,
     QSeries,
+    RootBundle,
     ZZ,
     model_from_name,
     naive_inverse,
     partition_numbers,
 )
 from support import (
-    S2_RING,
     assert_is_one,
     assert_same_series,
     random_coh_series,
@@ -292,3 +297,120 @@ def test_json_round_trip():
 
 def test_json_of_zero_series():
     assert QSeries.zero(QQ, 8).to_json() == {"lowest": 0, "order": 8, "coeffs": []}
+
+
+# -- records -------------------------------------------------------------
+
+S2 = model_from_name("s2")
+POINT = model_from_name("point")
+S2_TEXT = (
+    "ManifoldModel(name='s2', top_index=1, integral_normalization=Fraction(1, 1), "
+    "real_dimension=2, genus=0)"
+)
+POINT_TEXT = (
+    "ManifoldModel(name='point', top_index=0, integral_normalization=Fraction(1, 1), "
+    "real_dimension=0, genus=None)"
+)
+
+
+def _point_problem(order: int) -> ProblemSpec:
+    return ProblemSpec(
+        model=POINT, tangent=RootBundle(POINT), normal=NormalDecomposition(POINT),
+        F=EquivariantBundle(POINT), order=order,
+    )
+
+
+# build, a different value of the same class, a field, whether fields are
+# frozen, the type a hash refuses (None: the record hashes), and the repr
+RECORDS = [
+    pytest.param(
+        lambda: QSeries(QQ, -1, (1, "1/2"), 3), QSeries(QQ, -1, (1, "1/2"), 4),
+        "order", False, "QSeries",
+        "QSeries(ring=QQ, lowest=-1, coeffs=(Fraction(1, 1), Fraction(1, 2)), order=3)",
+        id="QSeries",
+    ),
+    pytest.param(
+        lambda: CohClass((1, "-2/3")), CohClass((1, "2/3")),
+        "coeffs", False, "CohClass",
+        "CohClass(coeffs=(Fraction(1, 1), Fraction(-2, 3)))",
+        id="CohClass",
+    ),
+    pytest.param(
+        lambda: RootBundle(S2, (2, "1/2"), ("-1/3",)), RootBundle(S2, (2, "1/2")),
+        "plus_roots", False, "RootBundle",
+        f"RootBundle(model={S2_TEXT}, plus_roots=(Fraction(1, 2), Fraction(2, 1)), "
+        "minus_roots=(Fraction(-1, 3),))",
+        id="RootBundle",
+    ),
+    pytest.param(
+        lambda: NormalDecomposition(S2, ((2, RootBundle(S2, (1,))),)),
+        NormalDecomposition(S2, ((3, RootBundle(S2, (1,))),)),
+        "components", False, "NormalDecomposition",
+        f"NormalDecomposition(model={S2_TEXT}, components=((2, RootBundle(model={S2_TEXT}, "
+        "plus_roots=(Fraction(1, 1),), minus_roots=())),))",
+        id="NormalDecomposition",
+    ),
+    pytest.param(
+        lambda: EquivariantBundle(S2, ((-1, RootBundle(S2, (0,))),)),
+        EquivariantBundle.trivial(S2),
+        "terms", False, "EquivariantBundle",
+        f"EquivariantBundle(model={S2_TEXT}, terms=((-1, RootBundle(model={S2_TEXT}, "
+        "plus_roots=(Fraction(0, 1),), minus_roots=())),))",
+        id="EquivariantBundle",
+    ),
+    pytest.param(
+        lambda: ManifoldModel("sigma:2", 1, 1, 2, genus=2), model_from_name("sigma:3"),
+        "genus", True, None,
+        "ManifoldModel(name='sigma:2', top_index=1, integral_normalization=Fraction(1, 1), "
+        "real_dimension=2, genus=2)",
+        id="ManifoldModel",
+    ),
+    pytest.param(
+        lambda: CohRing(S2), CohRing(model_from_name("cpn:2")),
+        "model", True, None,
+        f"CohRing(model={S2_TEXT})",
+        id="CohRing",
+    ),
+    pytest.param(
+        DifferenceLine, DifferenceLine(-1, 2),
+        "weight", True, None,
+        "DifferenceLine(sign=1, weight=0)",
+        id="DifferenceLine",
+    ),
+    pytest.param(
+        lambda: _point_problem(3), _point_problem(4),
+        "order", True, "RootBundle",  # its tangent bundle is unhashable
+        f"ProblemSpec(model={POINT_TEXT}, tangent=RootBundle(model={POINT_TEXT}, "
+        f"plus_roots=(), minus_roots=()), normal=NormalDecomposition(model={POINT_TEXT}, "
+        f"components=()), F=EquivariantBundle(model={POINT_TEXT}, terms=()), "
+        "L=DifferenceLine(sign=1, weight=0), order=3)",
+        id="ProblemSpec",
+    ),
+    pytest.param(
+        lambda: partition_numbers(3), partition_numbers(4),
+        "values", True, None,
+        "PartitionTable(limit=3, values=(1, 1, 2, 3))",
+        id="PartitionTable",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, other, field, frozen, unhashable, text", RECORDS)
+def test_records_compare_hash_and_print_by_value(build, other, field, frozen, unhashable, text):
+    record = build()
+    assert repr(record) == text
+    assert record == build() and not record != build()
+    assert record != other and not record == other
+    assert record.__eq__(0) is NotImplemented
+    assert (record == 0) is False
+    if unhashable is None:
+        assert hash(record) == hash(build())
+    else:
+        with pytest.raises(TypeError, match=f"unhashable type: '{unhashable}'"):
+            hash(record)
+    if frozen:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(other, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert repr(record) == text
