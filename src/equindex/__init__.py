@@ -55,12 +55,6 @@ from .index import (
     loop_space_index,
     preset_spec,
 )
-from .oracles import (
-    PartitionTable,
-    direct_cplane_index,
-    naive_inverse,
-    partition_numbers,
-)
 from .cli import SchemaError, parse_problem
 
 __version__ = "0.1.0"
@@ -90,3 +84,12 @@ __all__ = [
     "SchemaError", "parse_problem",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Load the oracles on first use (PEP 562): no solve needs them, so no start compiles them."""
+    if name in ("PartitionTable", "partition_numbers", "naive_inverse", "direct_cplane_index"):
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

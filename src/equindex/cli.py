@@ -37,9 +37,14 @@ class SchemaError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+_REPEATED = object()  # key under which _unique_keys marks a repeated field
+
+
 def _expect_object(value: Any, path: str, allowed: set[str], required: set[str]) -> dict:
     if not isinstance(value, dict):
         raise SchemaError(path, "expected a JSON object")
+    if _REPEATED in value:
+        raise SchemaError(path, f"duplicate field {value[_REPEATED]!r}")
     for key in value:
         if key not in allowed:
             raise SchemaError(f"{path}.{key}", "unexpected field")
@@ -68,11 +73,15 @@ def _root_list(value: Any, path: str) -> tuple[Fraction, ...]:
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
-    """JSON object hook: a repeated key is an error, not a silent overwrite."""
+    """JSON object hook: a repeated key is an error, not a silent overwrite.
+
+    The hook does not know where the object sits, so it marks the first
+    repeated key, and ``_expect_object`` reports it at the object's path.
+    """
     obj: dict = {}
     for key, value in pairs:
         if key in obj:
-            raise SchemaError("$", f"duplicate field {key!r}")
+            obj.setdefault(_REPEATED, key)
         obj[key] = value
     return obj
 

@@ -15,16 +15,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Union
 
-from .charclasses import RootBundle, VirtualBundle, chern_character, todd_class
+from .charclasses import RootBundle, VirtualBundle
 from .cohomology import ManifoldModel, ModelMismatch, UnsupportedModel, model_from_name
-from .localization import (
-    NormalDecomposition,
-    fixed_point_integral,
-    loop_normal_decomposition,
-)
+from .localization import LOOP, NormalDecomposition, fixed_point_integral
 from .series import FrozenRecord, QSeries, Record
-
-LOOP = "loop"  # marker for the loop-space normal family
 
 
 class DifferenceLine(FrozenRecord):
@@ -121,17 +115,8 @@ def localized_index(spec: ProblemSpec) -> QSeries:
     Euler class is taken through q^(order - L.weight), from the lowest
     F-weight up, before the difference line's sign and shift.
     """
-    top = spec.order - spec.L.weight
-    # a term with zero character contributes nothing, so it does not lower the window
-    terms = [(weight, bundle) for weight, bundle in spec.F.terms
-             if not chern_character(bundle).is_zero]
-    if isinstance(spec.normal, str):
-        # a normal weight k moves a term up by k: only k <= top - lowest are seen
-        depth = top - min((weight for weight, _ in terms), default=top)
-        decomposition = loop_normal_decomposition(spec.tangent, depth)
-    else:
-        decomposition = spec.normal
-    total = fixed_point_integral(decomposition, todd_class(spec.tangent), terms, top)
+    total = fixed_point_integral(spec.tangent, spec.normal, spec.F.terms,
+                                 spec.order - spec.L.weight)
     if spec.L.sign < 0:
         total = -total
     return total.shift(spec.L.weight)

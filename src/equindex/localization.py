@@ -9,18 +9,23 @@ materializing weights 1..order only.
 
 The inverse Euler class and the fixed-point integral never form the Euler
 class: they divide the unit, or ch(F), by each factor (1 - q^w e^(rx)) in
-turn, over integers.
+turn, over integers.  The loop-space family instead takes its inverse
+Euler class from an integer plethystic recurrence, whose cost does not
+grow with the number of tangent roots.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
 
-from .charclasses import RootBundle, VirtualBundle, lambda_minus_t_factor
+from .charclasses import RootBundle, VirtualBundle, lambda_minus_t_factor, todd_class
 from .cohomology import CohClass, CohRing, ManifoldModel, ModelMismatch, coh_integrate
 from .series import QQ, QSeries, Record
+
+LOOP = "loop"  # marker for the loop-space normal family
 
 
 class WeightError(ValueError):
@@ -103,14 +108,20 @@ def inverse_euler_class(decomposition: NormalDecomposition, order: int) -> QSeri
     return QSeries(CohRing(model), 0, coefficients, order)
 
 
-def fixed_point_integral(decomposition: NormalDecomposition, todd: CohClass,
+def fixed_point_integral(tangent: RootBundle, normal: Union[NormalDecomposition, str],
                          terms: Sequence[tuple[int, RootBundle]], top: int) -> QSeries:
-    """The integral of todd * ch(F) / eul(normal) over the fixed manifold, through q^top.
+    """The integral of td(tangent) * ch(F) / eul(normal) over the fixed manifold, through q^top.
 
-    ``terms`` are the summands (a, F_a) of F, at distinct weights a.
+    ``normal`` is a NormalDecomposition, or LOOP for the loop-space family
+    of every weight the window can see.  ``terms`` are the summands
+    (a, F_a) of F, at distinct weights a.
     """
-    model = decomposition.model
-    lowest, rows, denominators = _quotient(decomposition, terms, top)
+    model = tangent.model
+    if normal == LOOP:
+        lowest, rows, denominators = _loop_quotient(tangent, terms, top)
+    else:
+        lowest, rows, denominators = _quotient(normal, terms, top)
+    todd = todd_class(tangent)
     size = len(denominators)
     # f_k integrates the basis class y^k/k! = x^k/(k! D^k) against todd
     functional = [
@@ -124,29 +135,44 @@ def fixed_point_integral(decomposition: NormalDecomposition, todd: CohClass,
     return QSeries(QQ, lowest, values, top)
 
 
+def _characters(size: int, bundles: Sequence[RootBundle],
+                terms: Sequence[tuple[int, RootBundle]]) -> tuple[int, dict[int, list[int]]]:
+    """The scale D and the nonzero rows ch(F_a), keyed by the weight a.
+
+    D is the lcm of the root denominators in ``bundles`` and ``terms``.  In
+    the divided-power basis y^k/k! of y = x/D, e^(rx) has the integer
+    coordinates (rD)^k, so ch(F_a) is a row of power sums.  A term whose
+    row is zero contributes nothing, so it does not lower the window.
+    """
+    roots = [r for b in (*bundles, *(b for _, b in terms)) for r in b.plus_roots + b.minus_roots]
+    scale = math.lcm(*(r.denominator for r in roots))
+    characters = {}
+    for weight, bundle in terms:
+        plus = [int(root * scale) for root in bundle.plus_roots]
+        minus = [int(root * scale) for root in bundle.minus_roots]
+        row = [sum(r**k for r in plus) - sum(r**k for r in minus) for k in range(size)]
+        if any(row):
+            characters[weight] = row
+    return scale, characters
+
+
 def _quotient(decomposition: NormalDecomposition, terms: Sequence[tuple[int, RootBundle]],
               top: int) -> tuple[int, list[list[int]], list[int]]:
     """ch(F) / eul(normal) from the lowest weight in ``terms`` through q^top.
 
-    Classes are carried in the divided-power basis y^k/k! of y = x/D, with
-    D the lcm of the root denominators: there e^(rx) has the integer
-    coordinates (rD)^k, so ch(F_a) starts row a as power sums, and
-    y^i/i! * y^j/j! = C(i+j, i) y^(i+j)/(i+j)!.  Dividing by (1 - q^w e^(rx))
-    is the in-place recurrence g_n += e^(rx) g_(n-w) for ascending n, pure
-    int.  Returns the lowest weight, the rows and the denominators k! D^k.
+    Classes are carried in the divided-power basis of ``_characters``,
+    where y^i/i! * y^j/j! = C(i+j, i) y^(i+j)/(i+j)!.  Dividing by
+    (1 - q^w e^(rx)) is the in-place recurrence g_n += e^(rx) g_(n-w) for
+    ascending n, pure int.  Returns the lowest weight, the rows and the
+    denominators k! D^k.
     """
     size = decomposition.model.top_index + 1
-    bundles = [bundle for _, bundle in (*decomposition.components, *terms)]
-    scale = math.lcm(*(r.denominator for b in bundles for r in b.plus_roots + b.minus_roots))
-    lowest = min((weight for weight, _ in terms), default=top + 1)
+    scale, characters = _characters(size, [b for _, b in decomposition.components], terms)
+    lowest = min(characters, default=top + 1)
     rows = [[0] * size for _ in range(lowest, top + 1)]
-    for weight, bundle in terms:
+    for weight, character in characters.items():
         if weight <= top:
-            plus = [int(root * scale) for root in bundle.plus_roots]
-            minus = [int(root * scale) for root in bundle.minus_roots]
-            rows[weight - lowest] = [
-                sum(r**k for r in plus) - sum(r**k for r in minus) for k in range(size)
-            ]
+            rows[weight - lowest] = character
     for weight, bundle in decomposition.components:
         if weight >= len(rows):
             continue  # contributes 1 through q^top
@@ -158,4 +184,53 @@ def _quotient(decomposition: NormalDecomposition, terms: Sequence[tuple[int, Roo
                 source, target = rows[n - weight], rows[n]
                 for k, row in enumerate(kernel):
                     target[k] += sum(c * source[k - j] for j, c in enumerate(row))
+    return lowest, rows, [math.factorial(k) * scale**k for k in range(size)]
+
+
+def _loop_quotient(tangent: RootBundle, terms: Sequence[tuple[int, RootBundle]],
+                   top: int) -> tuple[int, list[list[int]], list[int]]:
+    """What ``_quotient`` returns for the loop normal data, from a plethystic exponential.
+
+    With rho over the tangent roots and their negatives, 1/eul is the product
+    of 1/(1 - q^w e^(rho x)) over w >= 1, that is b = exp(sum a_n q^n), where
+    coordinate k of n a_n is P_k * sum over j | n of (n/j) j^k, for the power
+    sum P_k = sum_rho (rho D)^k (0 for odd k).  The coordinates of b_n are
+    integers, so n b_n = sum_k (k a_k) b_(n-k) is exact, and its cost does
+    not grow with the number of roots.  The rows convolve ch(F_a) with b.
+    """
+    size = tangent.model.top_index + 1
+    scale, characters = _characters(size, [tangent], terms)
+    lowest = min(characters, default=top + 1)
+    depth = top - lowest  # a normal weight above it moves every term out of the window
+    binomials = [[math.comb(t, i) for i in range(t + 1)] for t in range(size)]
+    steps = [int(root * scale) for root in tangent.plus_roots]
+    # column storage: a[k][n] is coordinate k of n a_n, b[k][n] that of b_n, for n = 0..depth
+    a = [[0] * (depth + 1) for _ in range(size)]
+    for k in range(0, size, 2):
+        power = 2 * sum(s**k for s in steps)
+        for j in range(1, depth + 1):
+            term = power * j**k
+            for n in range(j, depth + 1, j):
+                a[k][n] += n // j * term
+    live = [i for i in range(size) if any(a[i])]
+    b = [[int(k == 0)] + [0] * depth for k in range(size)]
+    for n in range(1, depth + 1):
+        for t in range(size):
+            total = sum(
+                binomials[t][i] * sum(map(operator.mul, a[i][1:n + 1], b[t - i][n - 1::-1]))
+                for i in live if i <= t
+            )
+            b[t][n], remainder = divmod(total, n)
+            if remainder:
+                raise ArithmeticError(f"plethystic recurrence is not integral at q^{n}")
+    columns = [[0] * (depth + 1) for _ in range(size)]
+    for weight, character in characters.items():
+        offset = weight - lowest  # past depth for a term above the window: no slice to add to
+        for t in range(size):
+            for i in range(t + 1):
+                c = binomials[t][i] * character[i]
+                if c:
+                    columns[t][offset:] = map(operator.add, columns[t][offset:],
+                                              [c * v for v in b[t - i]])
+    rows = [list(row) for row in zip(*columns)]
     return lowest, rows, [math.factorial(k) * scale**k for k in range(size)]

@@ -3,20 +3,15 @@
 Each oracle computes a quantity the engine also produces, but by a
 deliberately different algorithm: a counting DP instead of a product
 inversion, long division instead of Newton iteration, a literal double
-sum instead of the fixed-point pipeline, a plethystic exponential
-instead of dividing by the loop space's lambda factors.  Agreement
-between the two routes is what the test suite leans on.
+sum instead of the fixed-point pipeline.  Agreement between the two
+routes is what the test suite leans on.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from .charclasses import chern_character, exponential_class, todd_class
-from .cohomology import CohClass, coh_integrate, scalar_class, unit_class
-from .index import LOOP, ProblemSpec
-from .series import QQ, FrozenRecord, NotInvertible, QSeries, ZZ
+from .series import FrozenRecord, NotInvertible, QSeries, ZZ
 
 
 class PartitionTable(FrozenRecord):
@@ -108,44 +103,3 @@ def direct_cplane_index(weight: int, coefficients: Sequence[int], order: int) ->
     if weight < 0:
         return base.scale(-1).shift(step).truncate(order)
     return base
-
-
-def plethystic_loop_index(spec: ProblemSpec) -> QSeries:
-    """The index of a loop-space problem from a plethystic exponential.
-
-    The loop normal data puts the complexified tangent bundle at every
-    weight k >= 1, so with rho over the tangent roots and their negatives
-    the inverse Euler class is the product of 1/(1 - q^k e^(rho x)), that
-    is exp(sum_n a_n q^n) with a_n = sum over j | n of (1/j) sum_rho e^(j rho x).
-    Its coefficients b_n follow from n b_n = sum_k k a_k b_(n-k), and
-    coefficient n of the index is the integral of td * sum_a ch(F_a) b_(n-a),
-    before the difference line's sign and shift.
-    """
-    if spec.normal != LOOP:
-        raise ValueError("the plethystic oracle needs loop normal data")
-    model = spec.model
-    top = spec.order - spec.L.weight
-    lowest = min((weight for weight, _ in spec.F.terms), default=top)
-    depth = max(top - lowest, 0)
-    roots = spec.tangent.plus_roots + tuple(-r for r in spec.tangent.plus_roots)
-    zero = scalar_class(model, 0)
-
-    def power_sum(j: int) -> CohClass:  # the sum over rho of e^(j rho x)
-        return sum((exponential_class(j * root, model) for root in roots), zero)
-
-    a = [zero] + [
-        sum((power_sum(j) * Fraction(1, j) for j in range(1, n + 1) if n % j == 0), zero)
-        for n in range(1, depth + 1)
-    ]
-    b = [unit_class(model)]
-    for n in range(1, depth + 1):
-        total = sum((a[k] * b[n - k] * k for k in range(1, n + 1)), zero)
-        b.append(total * Fraction(1, n))
-    todd = todd_class(spec.tangent)
-    values: dict[int, Fraction] = {}
-    for weight, bundle in spec.F.terms:
-        character = chern_character(bundle) * todd
-        for n in range(weight, top + 1):
-            value = coh_integrate(character * b[n - weight], model)
-            values[n] = values.get(n, 0) + value
-    return QSeries.from_terms(QQ, values, top).scale(spec.L.sign).shift(spec.L.weight)

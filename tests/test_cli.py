@@ -170,7 +170,28 @@ def test_schema_violations_exit_one(tmp_path):
         (json.dumps({**LS2_DOC, "order": "many"}), "integer"),
         (
             '{"manifold": "s2", ' + json.dumps({**LS2_DOC, "manifold": "point"})[1:],
-            "duplicate field 'manifold'",
+            "$: duplicate field 'manifold'",
+        ),
+        (
+            '{"manifold": "s2", "tangent": {"plus": [2], "plus": [0]}, "normal": "loop", '
+            '"F": [{"weight": 0, "plus": [0]}]}',
+            "tangent: duplicate field 'plus'",
+        ),
+        (
+            '{"manifold": "s2", "tangent": {"plus": [2]}, '
+            '"normal": [{"weight": 1, "plus": [0], "weight": 2}], '
+            '"F": [{"weight": 0, "plus": [0]}]}',
+            "normal[0]: duplicate field 'weight'",
+        ),
+        (
+            '{"manifold": "s2", "tangent": {"plus": [2]}, "normal": "loop", '
+            '"F": [{"weight": 0, "plus": [0]}, {"weight": 1, "minus": [1], "minus": []}]}',
+            "F[1]: duplicate field 'minus'",
+        ),
+        (
+            '{"manifold": "s2", "tangent": {"plus": [2]}, "normal": "loop", '
+            '"F": [{"weight": 0, "plus": [0]}], "L": {"sign": 1, "sign": -1, "weight": 0}}',
+            "L: duplicate field 'sign'",
         ),
     ]
     for text, *needles in bad_documents:
@@ -244,6 +265,7 @@ equindex.cli.run(["--preset", "cplane:1", "--order", "3"])
 print("json" in set(sys.modules) - before)
 equindex.cli.run(["--preset", "cplane:1", "--order", "3", "--format", "json"])
 print("json" in set(sys.modules) - before)
+print("equindex.oracles" in sys.modules, equindex.partition_numbers(4).values)
 """
 
 PUBLIC_NAMES = (
@@ -268,6 +290,7 @@ def test_import_loads_json_only_for_json_output():
         "False",
         '{"lowest": 0, "order": 3, "coeffs": ["1", "1", "1", "1"]}',
         "True",
+        "False (1, 1, 2, 3, 5)",
     ]
 
 

@@ -100,6 +100,15 @@ def test_presets_match_their_oracles():
         assert localized_index(preset_spec(preset, order)) == expected, preset
 
 
+def test_deep_loop_presets_match_the_partition_convolution():
+    for preset, genus, order in (("ls2", 0, 300), ("lsigma:2", 2, 150)):
+        table = partition_numbers(order)
+        expected = QSeries(
+            QQ, 0, [(1 - genus) * table.convolution(n) for n in range(order + 1)], order
+        )
+        assert localized_index(preset_spec(preset, order)) == expected, preset
+
+
 def test_plane_rejects_weight_zero():
     with pytest.raises(ValueError):
         cplane_spec(0, (1,), 4)

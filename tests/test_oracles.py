@@ -20,11 +20,12 @@ from equindex import (
     ZZ,
     direct_cplane_index,
     localized_index,
+    loop_normal_decomposition,
     model_from_name,
     naive_inverse,
     partition_numbers,
 )
-from equindex.oracles import plethystic_loop_index
+from equindex.localization import _loop_quotient, _quotient
 from support import assert_same_series, random_zz_series
 
 
@@ -134,9 +135,14 @@ ROOTS = st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), -1, 0,
 
 @st.composite
 def loop_problems(draw):
-    """Loop-space problems with rational tangent roots, virtual F and shifted weights."""
+    """Loop-space problems with rational tangent roots, virtual F and shifted weights.
+
+    Orders reach 20, so that weights with many divisors (12, 18) are in the window.
+    """
     model = model_from_name(
-        draw(st.sampled_from(["cpn:3", "cpn:2", "s2", "sigma:0", "sigma:1", "sigma:2", "sigma:3"]))
+        draw(st.sampled_from(
+            ["cpn:4", "cpn:3", "cpn:2", "s2", "sigma:0", "sigma:1", "sigma:2", "sigma:3"]
+        ))
     )
     bundles = st.builds(
         lambda plus, minus: RootBundle(model, plus, minus),
@@ -154,11 +160,22 @@ def loop_problems(draw):
             model, draw(st.lists(st.tuples(st.integers(-4, 4), bundles), min_size=1, max_size=3))
         ),
         L=DifferenceLine(draw(st.sampled_from((1, -1))), draw(st.integers(-4, 4))),
-        order=draw(st.integers(0, 8)),
+        order=draw(st.integers(0, 20)),
     )
 
 
 @settings(max_examples=200, deadline=None)
 @given(loop_problems())
-def test_plethystic_oracle_matches_the_engine(spec):
-    assert plethystic_loop_index(spec) == localized_index(spec)
+def test_the_loop_recurrence_matches_division_by_each_factor(spec):
+    # the loop data written out through every weight the window can see runs the division
+    top = spec.order - spec.L.weight
+    depth = max(top - min(weight for weight, _ in spec.F.terms), 0)
+    explicit = ProblemSpec(model=spec.model, tangent=spec.tangent,
+                           normal=loop_normal_decomposition(spec.tangent, depth),
+                           F=spec.F, L=spec.L, order=spec.order)
+    assert localized_index(spec) == localized_index(explicit)
+    # one weight more, which lies beyond the window, puts the tangent's denominators into
+    # the scale at depth 0 too, so the integer rows themselves agree
+    assert _loop_quotient(spec.tangent, spec.F.terms, top) == _quotient(
+        loop_normal_decomposition(spec.tangent, depth + 1), spec.F.terms, top
+    )
