@@ -20,14 +20,14 @@ from .cohomology import (
     ModelMismatch,
     unit_class,
 )
-from .series import QQ, QSeries, Record, as_fraction
+from .series import QQ, FrozenRecord, QSeries, as_fraction
 
 
 class VirtualBundle(ValueError):
     """An operation needing a genuine bundle met nonempty minus_roots."""
 
 
-class RootBundle(Record):
+class RootBundle(FrozenRecord):
     """A virtual bundle: formal difference of sums of line bundles.
 
     ``plus_roots`` and ``minus_roots`` are multisets of rational Chern
@@ -45,9 +45,9 @@ class RootBundle(Record):
         plus_roots: Sequence[Any] = (),
         minus_roots: Sequence[Any] = (),
     ):
-        self.model = model
-        self.plus_roots = tuple(sorted(as_fraction(r) for r in plus_roots))
-        self.minus_roots = tuple(sorted(as_fraction(r) for r in minus_roots))
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "plus_roots", tuple(sorted(as_fraction(r) for r in plus_roots)))
+        object.__setattr__(self, "minus_roots", tuple(sorted(as_fraction(r) for r in minus_roots)))
 
     @property
     def rank(self) -> int:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, Union
 from .charclasses import RootBundle, VirtualBundle
 from .cohomology import ManifoldModel, ModelMismatch, UnsupportedModel, model_from_name
 from .localization import LOOP, NormalDecomposition, fixed_point_integral
-from .series import FrozenRecord, QSeries, Record
+from .series import FrozenRecord, QSeries
 
 
 class DifferenceLine(FrozenRecord):
@@ -35,7 +35,7 @@ class DifferenceLine(FrozenRecord):
         object.__setattr__(self, "weight", weight)
 
 
-class EquivariantBundle(Record):
+class EquivariantBundle(FrozenRecord):
     """The coefficient bundle F = sum over weights a of F_a q^a.
 
     Terms are ((weight, bundle), ...), merged by weight and sorted;
@@ -61,8 +61,8 @@ class EquivariantBundle(Record):
                 merged[weight] = merged[weight].direct_sum(bundle)
             else:
                 merged[weight] = bundle
-        self.model = model
-        self.terms = tuple((w, merged[w]) for w in sorted(merged))
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "terms", tuple((w, merged[w]) for w in sorted(merged)))
 
     @classmethod
     def trivial(cls, model: ManifoldModel) -> "EquivariantBundle":
@@ -116,9 +116,7 @@ def localized_index(spec: ProblemSpec) -> QSeries:
     F-weight up, before the difference line's sign and shift.
     """
     total = fixed_point_integral(spec.tangent, spec.normal, spec.F.terms,
-                                 spec.order - spec.L.weight)
-    if spec.L.sign < 0:
-        total = -total
+                                 spec.order - spec.L.weight, spec.L.sign)
     return total.shift(spec.L.weight)
 
 

@@ -19,20 +19,22 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Iterable, Sequence, Union
 
 from .charclasses import RootBundle, VirtualBundle, lambda_minus_t_factor, todd_class
 from .cohomology import CohClass, CohRing, ManifoldModel, ModelMismatch, coh_integrate
-from .series import QQ, QSeries, Record
+from .series import QQ, FrozenRecord, QSeries
 
 LOOP = "loop"  # marker for the loop-space normal family
+MAX_KERNEL_WORK = 10**8  # estimated integer steps of one kernel call; see _check_work
 
 
 class WeightError(ValueError):
     """A normal-direction rotation weight that is not a positive integer."""
 
 
-class NormalDecomposition(Record):
+class NormalDecomposition(FrozenRecord):
     """Weighted summands of the normal data: ((weight, bundle), ...).
 
     Construction merges repeated weights by direct sum, sorts by weight,
@@ -64,8 +66,8 @@ class NormalDecomposition(Record):
                 merged[weight] = merged[weight].direct_sum(bundle)
             else:
                 merged[weight] = bundle
-        self.model = model
-        self.components = tuple((w, merged[w]) for w in sorted(merged))
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "components", tuple((w, merged[w]) for w in sorted(merged)))
 
 
 def loop_normal_decomposition(tangent: RootBundle, order: int) -> NormalDecomposition:
@@ -101,26 +103,27 @@ def euler_class(decomposition: NormalDecomposition, order: int) -> QSeries:
 def inverse_euler_class(decomposition: NormalDecomposition, order: int) -> QSeries:
     """Inverse of the Euler class modulo q^(order+1): the quotient of the unit class."""
     model = decomposition.model
-    _, rows, denominators = _quotient(decomposition, ((0, RootBundle(model, (0,))),), order)
+    _, columns, denominators = _quotient(decomposition, ((0, RootBundle(model, (0,))),), order)
     coefficients = [
-        CohClass([Fraction(c, d) for c, d in zip(row, denominators)]) for row in rows
+        CohClass([Fraction(c, d) for c, d in zip(row, denominators)]) for row in zip(*columns)
     ]
     return QSeries(CohRing(model), 0, coefficients, order)
 
 
 def fixed_point_integral(tangent: RootBundle, normal: Union[NormalDecomposition, str],
-                         terms: Sequence[tuple[int, RootBundle]], top: int) -> QSeries:
-    """The integral of td(tangent) * ch(F) / eul(normal) over the fixed manifold, through q^top.
+                         terms: Sequence[tuple[int, RootBundle]], top: int,
+                         sign: int) -> QSeries:
+    """sign times the integral of td(tangent) * ch(F) / eul(normal) over the fixed manifold.
 
-    ``normal`` is a NormalDecomposition, or LOOP for the loop-space family
-    of every weight the window can see.  ``terms`` are the summands
-    (a, F_a) of F, at distinct weights a.
+    The result is known through q^top.  ``normal`` is a NormalDecomposition,
+    or LOOP for the loop-space family of every weight the window can see.
+    ``terms`` are the summands (a, F_a) of F, at distinct weights a.
     """
     model = tangent.model
     if normal == LOOP:
-        lowest, rows, denominators = _loop_quotient(tangent, terms, top)
+        lowest, columns, denominators = _loop_quotient(tangent, terms, top)
     else:
-        lowest, rows, denominators = _quotient(normal, terms, top)
+        lowest, columns, denominators = _quotient(normal, terms, top)
     todd = todd_class(tangent)
     size = len(denominators)
     # f_k integrates the basis class y^k/k! = x^k/(k! D^k) against todd
@@ -128,11 +131,17 @@ def fixed_point_integral(tangent: RootBundle, normal: Union[NormalDecomposition,
         coh_integrate(todd * CohClass([0] * k + [Fraction(1, d)] + [0] * (size - k - 1)), model)
         for k, d in enumerate(denominators)
     ]
-    # over a common denominator, a row's integral is an int dot product and one Fraction
+    # over a common denominator the integral is an integer combination of the columns,
+    # and each coefficient is one Fraction
     common = math.lcm(*(f.denominator for f in functional))
-    weights = [f.numerator * (common // f.denominator) for f in functional]
-    values = [Fraction(sum(c * w for c, w in zip(row, weights)), common) for row in rows]
-    return QSeries(QQ, lowest, values, top)
+    values = [0] * len(columns[0])
+    for f, column in zip(functional, columns):
+        if f:
+            weight = sign * f.numerator * (common // f.denominator)
+            values = list(map(operator.add, values, map(operator.mul, column, repeat(weight))))
+    if common == 1:
+        return QSeries._trusted(QQ, lowest, list(map(Fraction, values)), top)
+    return QSeries._trusted(QQ, lowest, [Fraction(v, common) for v in values], top)
 
 
 def _characters(size: int, bundles: Sequence[RootBundle],
@@ -156,35 +165,54 @@ def _characters(size: int, bundles: Sequence[RootBundle],
     return scale, characters
 
 
+def _check_work(length: int, roots: int, size: int) -> None:
+    """Refuse a window whose kernel would run for hours, before anything is allocated.
+
+    The estimate is length * (roots + 1) * size^2: a division costs about
+    size^2 integer products per coefficient and root, and building the
+    columns and the integral about as much as one more root.
+    """
+    work = length * (roots + 1) * size**2
+    if work > MAX_KERNEL_WORK:
+        raise ValueError(f"order: the kernel would take about {work:.1e} steps, "
+                         f"over the bound {MAX_KERNEL_WORK:.0e}; ask for a lower order")
+
+
 def _quotient(decomposition: NormalDecomposition, terms: Sequence[tuple[int, RootBundle]],
               top: int) -> tuple[int, list[list[int]], list[int]]:
     """ch(F) / eul(normal) from the lowest weight in ``terms`` through q^top.
 
     Classes are carried in the divided-power basis of ``_characters``,
-    where y^i/i! * y^j/j! = C(i+j, i) y^(i+j)/(i+j)!.  Dividing by
-    (1 - q^w e^(rx)) is the in-place recurrence g_n += e^(rx) g_(n-w) for
-    ascending n, pure int.  Returns the lowest weight, the rows and the
-    denominators k! D^k.
+    where y^i/i! * y^j/j! = C(i+j, i) y^(i+j)/(i+j)!, as one integer column
+    per coordinate k.  Dividing by (1 - q^w e^(rx)) is g_n = f_n + e^(rx) g_(n-w),
+    and coordinate k of e^(rx) g is the sum over j of C(k, j) (rD)^j g[k-j].
+    For ascending k the terms j >= 1 read finished columns shifted by w, and
+    the term j = 0 leaves a prefix sum with stride w.  Returns the lowest
+    weight, the columns and the denominators k! D^k.
     """
     size = decomposition.model.top_index + 1
     scale, characters = _characters(size, [b for _, b in decomposition.components], terms)
     lowest = min(characters, default=top + 1)
-    rows = [[0] * size for _ in range(lowest, top + 1)]
+    length = max(top - lowest + 1, 0)
+    visible = [(w, b) for w, b in decomposition.components if w < length]  # the rest give 1
+    _check_work(length, sum(len(b.plus_roots) for _, b in visible), size)
+    columns = [[0] * length for _ in range(size)]
     for weight, character in characters.items():
         if weight <= top:
-            rows[weight - lowest] = character
-    for weight, bundle in decomposition.components:
-        if weight >= len(rows):
-            continue  # contributes 1 through q^top
+            for column, c in zip(columns, character):
+                column[weight - lowest] = c
+    for weight, bundle in visible:
         for root in bundle.plus_roots:
             step = int(root * scale)
-            # kernel[k][j]: coordinate k of e^(rx) * (y^(k-j)/(k-j)!), i.e. C(k, j) (rD)^j
-            kernel = [[math.comb(k, j) * step**j for j in range(k + 1)] for k in range(size)]
-            for n in range(weight, len(rows)):
-                source, target = rows[n - weight], rows[n]
-                for k, row in enumerate(kernel):
-                    target[k] += sum(c * source[k - j] for j, c in enumerate(row))
-    return lowest, rows, [math.factorial(k) * scale**k for k in range(size)]
+            for k, column in enumerate(columns):
+                for j in range(1, k + 1):
+                    c = math.comb(k, j) * step**j
+                    if c:
+                        column[weight:] = map(operator.add, column[weight:],
+                                              map(operator.mul, columns[k - j], repeat(c)))
+                for r in range(weight):
+                    column[r::weight] = accumulate(column[r::weight])
+    return lowest, columns, [math.factorial(k) * scale**k for k in range(size)]
 
 
 def _loop_quotient(tangent: RootBundle, terms: Sequence[tuple[int, RootBundle]],
@@ -196,12 +224,13 @@ def _loop_quotient(tangent: RootBundle, terms: Sequence[tuple[int, RootBundle]],
     coordinate k of n a_n is P_k * sum over j | n of (n/j) j^k, for the power
     sum P_k = sum_rho (rho D)^k (0 for odd k).  The coordinates of b_n are
     integers, so n b_n = sum_k (k a_k) b_(n-k) is exact, and its cost does
-    not grow with the number of roots.  The rows convolve ch(F_a) with b.
+    not grow with the number of roots.  The columns convolve ch(F_a) with b.
     """
     size = tangent.model.top_index + 1
     scale, characters = _characters(size, [tangent], terms)
     lowest = min(characters, default=top + 1)
     depth = top - lowest  # a normal weight above it moves every term out of the window
+    _check_work(max(depth + 1, 0), max(depth, 0), size)  # each weight costs one root
     binomials = [[math.comb(t, i) for i in range(t + 1)] for t in range(size)]
     steps = [int(root * scale) for root in tangent.plus_roots]
     # column storage: a[k][n] is coordinate k of n a_n, b[k][n] that of b_n, for n = 0..depth
@@ -232,5 +261,4 @@ def _loop_quotient(tangent: RootBundle, terms: Sequence[tuple[int, RootBundle]],
                 if c:
                     columns[t][offset:] = map(operator.add, columns[t][offset:],
                                               [c * v for v in b[t - i]])
-    rows = [list(row) for row in zip(*columns)]
-    return lowest, rows, [math.factorial(k) * scale**k for k in range(size)]
+    return lowest, columns, [math.factorial(k) * scale**k for k in range(size)]

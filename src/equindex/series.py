@@ -147,6 +147,9 @@ class RationalRing(CoefficientRing):
     one = Fraction(1)
     coerce = staticmethod(as_fraction)
 
+    def is_zero(self, value: Fraction) -> bool:
+        return not value
+
     def is_unit(self, value: Fraction) -> bool:
         return value != 0
 
@@ -406,26 +409,21 @@ def _power_text(exponent: int) -> str:
 
 
 def render_series(series: QSeries) -> str:
-    """Render with explicit signs, lowest exponent first: ``1 + 2q + 5q^2``."""
+    """Render with explicit signs, lowest exponent first: ``1 + 2q + 5q^2``.
+
+    A coefficient's text gives its sign when it is a single term, such as
+    ``-3/2`` or ``-x``; a composite one, such as ``1 - x``, is parenthesised.
+    """
     parts: list[str] = []
     for exponent, value in series.terms():
-        try:
-            negative = value < 0
-        except TypeError:
-            # coefficient type without an order: borrow the sign of its
-            # rendering when it is a single term, else render verbatim
-            negative = " " not in str(value) and str(value).startswith("-")
-        magnitude = -value if negative else value
+        text = str(value)
+        negative = text.startswith("-") and " " not in text
+        if negative:
+            text = text[1:]
+        elif " " in text:
+            text = f"({text})"
         power = _power_text(exponent)
-        text = str(magnitude)
-        if " " in text:
-            text = f"({text})"  # composite coefficient, e.g. a cohomology class
-        if power and magnitude == series.ring.one:
-            body = power
-        elif power:
-            body = f"{text}{power}"
-        else:
-            body = text
+        body = power if power and text == "1" else text + power
         if not parts:
             parts.append(f"-{body}" if negative else body)
         else:

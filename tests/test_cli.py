@@ -168,6 +168,12 @@ def test_schema_violations_exit_one(tmp_path):
         (json.dumps({**LS2_DOC, "L": {"sign": 1}}), "missing required field"),
         (json.dumps({**LS2_DOC, "order": -3}), "order"),
         (json.dumps({**LS2_DOC, "order": "many"}), "integer"),
+        # a kernel window past the work bound, from the order or from a low F-weight
+        (json.dumps({**LS2_DOC, "order": 10**15}), "equindex: order: "),
+        (
+            json.dumps({**LS2_DOC, "F": [{"weight": -(10**15), "plus": [0]}], "order": 0}),
+            "equindex: order: ",
+        ),
         (
             '{"manifold": "s2", ' + json.dumps({**LS2_DOC, "manifold": "point"})[1:],
             "$: duplicate field 'manifold'",
@@ -297,3 +303,12 @@ def test_import_loads_json_only_for_json_output():
 def test_negative_order_flag_is_rejected():
     result = run_cli("--preset", "ls2", "--order", "-1")
     assert result.returncode == 1
+
+
+def test_oversized_orders_exit_one():
+    # the window would need more than 10^15 integers: only the work estimate,
+    # which runs before any allocation, lets these runs end at once
+    for preset in ("ls2", "cplane:-3"):
+        result = run_cli("--preset", preset, "--order", str(10**15))
+        assert result.returncode == 1, preset
+        assert result.stderr.startswith("equindex: order: "), result.stderr

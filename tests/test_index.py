@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -35,6 +36,7 @@ from equindex import (
     loop_space_index,
     model_from_name,
     naive_inverse,
+    parse_problem,
     partition_numbers,
     preset_spec,
     todd_class,
@@ -390,6 +392,36 @@ def test_integer_inputs_stay_integral():
     for name in ("ls2", "lsigma:3", "cplane:2", "cplane:-2"):
         out = localized_index(preset_spec(name, 14))
         assert all(value.denominator == 1 for _, value in out.terms())
+
+
+CPN_DOCUMENT = {
+    "manifold": "cpn:3",
+    "tangent": {"plus": ["1/2", "-2/3", "5/3"]},
+    "normal": [
+        {"weight": 1, "plus": ["1/2", "1/3"]},
+        {"weight": 2, "plus": ["-3/5", 2]},
+        {"weight": 5, "plus": ["1/4"]},
+    ],
+    "F": [
+        {"weight": 0, "plus": ["1/6"]},
+        {"weight": -2, "plus": ["2/5", -1], "minus": ["1/3"]},
+    ],
+    "L": {"sign": -1, "weight": 1},
+    "order": 30,
+}
+
+
+def test_every_coefficient_is_built_as_a_fraction():
+    # the integral builds its result without the public constructor's coercion
+    specs = [preset_spec(name, order) for name in ("ls2", "lsigma:3") for order in (0, 30)]
+    specs += [preset_spec(f"cplane:{k}", 40) for k in (1, 2, -3, 5, -7)]
+    specs.append(parse_problem(json.dumps(CPN_DOCUMENT)))
+    for spec in specs:
+        out = localized_index(spec)
+        assert all(type(c) is Fraction for c in out.coeffs), spec
+        rebuilt = QSeries(QQ, out.lowest, out.coeffs, out.order)
+        assert repr(out) == repr(rebuilt), spec
+    assert any(c.denominator > 1 for c in out.coeffs)  # the document needs a common denominator
 
 
 def _product_route(spec: ProblemSpec) -> QSeries:

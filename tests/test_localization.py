@@ -12,19 +12,25 @@ from hypothesis import strategies as st
 from equindex import (
     CohClass,
     CohRing,
+    EquivariantBundle,
     ModelMismatch,
     NormalDecomposition,
     QSeries,
+    QQ,
     RootBundle,
     VirtualBundle,
     WeightError,
+    chern_character,
+    coh_integrate,
     euler_class,
     inverse_euler_class,
     loop_normal_decomposition,
     model_from_name,
     naive_inverse,
     partition_numbers,
+    todd_class,
 )
+from equindex.localization import MAX_KERNEL_WORK, _check_work, fixed_point_integral
 from support import assert_is_one, assert_same_series, random_decomposition
 
 POINT = model_from_name("point")
@@ -196,3 +202,62 @@ def test_inverse_euler_class_is_long_division_of_the_euler_class(case):
     assert inverse_euler_class(decomposition, order) == naive_inverse(
         euler_class(decomposition, order), order
     )
+
+
+@st.composite
+def integrals(draw):
+    """Explicit normal data at weights 2..6 with several roots each, a virtual F
+    at weights -4..4, and orders up to 30, so every stride residue is reached."""
+    model = model_from_name(draw(st.sampled_from(["point", "s2", "sigma:2", "cpn:2", "cpn:3"])))
+    tangent = RootBundle(
+        model, draw(st.lists(ROOTS, min_size=model.top_index, max_size=model.top_index))
+    )
+    components = draw(
+        st.lists(st.tuples(st.integers(2, 6), st.lists(ROOTS, min_size=1, max_size=3)),
+                 min_size=1, max_size=4)
+    )
+    normal = NormalDecomposition(
+        model, [(weight, RootBundle(model, roots)) for weight, roots in components]
+    )
+    bundles = st.builds(
+        lambda plus, minus: RootBundle(model, plus, minus),
+        st.lists(ROOTS, max_size=2),
+        st.lists(ROOTS, max_size=2),
+    )
+    F = EquivariantBundle(
+        model, draw(st.lists(st.tuples(st.integers(-4, 4), bundles), min_size=1, max_size=3))
+    )
+    return tangent, normal, F, draw(st.integers(0, 30)), draw(st.sampled_from((1, -1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(integrals())
+def test_the_integral_is_long_division_times_the_character(case):
+    tangent, normal, F, top, sign = case
+    out = fixed_point_integral(tangent, normal, F.terms, top, sign)
+    # the Euler class as a product, its long-division inverse, ch(F), and td
+    ring = CohRing(tangent.model)
+    characters = {a: chern_character(bundle) for a, bundle in F.terms}
+    characters = {a: value for a, value in characters.items() if not value.is_zero}
+    lowest = min(characters, default=top + 1)
+    if lowest > top:
+        assert out == QSeries.zero(QQ, top)
+        return
+    inverse = naive_inverse(euler_class(normal, top - lowest), top - lowest)
+    total = QSeries.from_terms(ring, characters, top) * inverse
+    todd = todd_class(tangent)
+    integrated = {n: coh_integrate(value * todd, tangent.model) for n, value in total.terms()}
+    assert out == QSeries.from_terms(QQ, integrated, top).scale(sign)
+
+
+def test_the_kernel_work_bound():
+    # the estimate is length * (roots + 1) * size^2, and the bound itself is allowed
+    _check_work(MAX_KERNEL_WORK // 4, 0, 2)
+    with pytest.raises(ValueError, match="^order: "):
+        _check_work(MAX_KERNEL_WORK // 4 + 1, 0, 2)
+    with pytest.raises(ValueError, match="^order: "):
+        _check_work(10**4, 10**4, 1)
+    # a window far past the bound is refused before any column is allocated
+    decomposition = NormalDecomposition(CP2, ((1, RootBundle(CP2, (1, 2))),))
+    with pytest.raises(ValueError, match="^order: "):
+        inverse_euler_class(decomposition, 10**15)

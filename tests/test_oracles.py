@@ -175,7 +175,7 @@ def test_the_loop_recurrence_matches_division_by_each_factor(spec):
                            F=spec.F, L=spec.L, order=spec.order)
     assert localized_index(spec) == localized_index(explicit)
     # one weight more, which lies beyond the window, puts the tangent's denominators into
-    # the scale at depth 0 too, so the integer rows themselves agree
+    # the scale at depth 0 too, so the integer columns themselves agree
     assert _loop_quotient(spec.tangent, spec.F.terms, top) == _quotient(
         loop_normal_decomposition(spec.tangent, depth + 1), spec.F.terms, top
     )
