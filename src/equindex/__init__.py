@@ -3,9 +3,9 @@
 The package evaluates fixed-point index formulas with exact rational
 arithmetic: truncated formal q-series over pluggable coefficient rings,
 monogenic even cohomology of the fixed manifold, characteristic classes
-from Chern roots, Euler classes of weighted normal data (including the
-loop-space family), and the integrated index pipeline with a JSON/CLI
-front end.
+from Chern roots, inverse Euler classes of weighted normal data, and the
+integrated index pipeline.  The JSON/CLI front end (``cli``) and the
+cross-check routes (``oracles``) are loaded on first use.
 """
 
 from .series import (
@@ -29,21 +29,8 @@ from .cohomology import (
     scalar_class,
     unit_class,
 )
-from .charclasses import (
-    RootBundle,
-    VirtualBundle,
-    chern_character,
-    exponential_class,
-    lambda_minus_t_factor,
-    todd_class,
-)
-from .localization import (
-    NormalDecomposition,
-    WeightError,
-    euler_class,
-    inverse_euler_class,
-    loop_normal_decomposition,
-)
+from .charclasses import RootBundle, VirtualBundle, todd_class
+from .localization import NormalDecomposition, WeightError, inverse_euler_class
 from .index import (
     LOOP,
     DifferenceLine,
@@ -55,7 +42,6 @@ from .index import (
     loop_space_index,
     preset_spec,
 )
-from .cli import SchemaError, parse_problem
 
 __version__ = "0.1.0"
 
@@ -86,10 +72,23 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    """Load the oracles on first use (PEP 562): no solve needs them, so no start compiles them."""
-    if name in ("PartitionTable", "partition_numbers", "naive_inverse", "direct_cplane_index"):
-        from . import oracles
+# names loaded on first use (PEP 562), by submodule: no solve needs the oracles,
+# and `import equindex` alone does not need the command line
+_SUBMODULES = {
+    **dict.fromkeys(("cli", "SchemaError", "parse_problem"), "cli"),
+    **dict.fromkeys((
+        "PartitionTable", "partition_numbers", "naive_inverse", "direct_cplane_index",
+        "exponential_class", "chern_character", "lambda_minus_t_factor",
+        "loop_normal_decomposition", "euler_class",
+    ), "oracles"),
+}
 
-        return getattr(oracles, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __getattr__(name: str):
+    if name not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # `from . import ...` here would look the name up on this package again, without end
+    from importlib import import_module
+
+    module = import_module("." + _SUBMODULES[name], __name__)
+    return module if name == _SUBMODULES[name] else getattr(module, name)

@@ -2,9 +2,9 @@
 
 A bundle over a monogenic-cohomology manifold is given by two multisets
 of rational roots: a root r stands for a line summand with first Chern
-class r*x.  The Chern character and Todd class are evaluated exactly in
-Q[x]/(x^(m+1)); the lambda factor (1 - q^n e^(rx)) per root is the
-building block of normal-bundle Euler classes.
+class r*x.  The Todd class is evaluated exactly in Q[x]/(x^(m+1)); the
+localization kernels read the roots themselves, and the Chern character
+and the lambda factors live in ``oracles`` as cross-checks.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Sequence
 
-from .cohomology import (
-    CohClass,
-    CohRing,
-    ManifoldModel,
-    ModelMismatch,
-    unit_class,
-)
+from .cohomology import CohClass, ManifoldModel, ModelMismatch, unit_class
 from .series import QQ, FrozenRecord, QSeries, as_fraction
 
 
@@ -77,29 +71,6 @@ class RootBundle(FrozenRecord):
         )
 
 
-def exponential_class(root: Fraction, model: ManifoldModel) -> CohClass:
-    """e^(r x) truncated at x^m, with exact factorials."""
-    root = as_fraction(root)
-    window = []
-    term = Fraction(1)
-    for j in range(model.top_index + 1):
-        if j > 0:
-            term = term * root / j
-        window.append(term)
-    return CohClass(window)
-
-
-def chern_character(bundle: RootBundle) -> CohClass:
-    """ch = sum of e^(rx) over plus roots minus the same over minus roots."""
-    model = bundle.model
-    total = CohClass([0] * (model.top_index + 1))
-    for root in bundle.plus_roots:
-        total = total + exponential_class(root, model)
-    for root in bundle.minus_roots:
-        total = total - exponential_class(root, model)
-    return total
-
-
 @lru_cache(maxsize=None)
 def _todd_coefficients(top_index: int) -> tuple[Fraction, ...]:
     """Universal coefficients of t / (1 - e^(-t)) up to t^top_index.
@@ -131,27 +102,4 @@ def todd_class(bundle: RootBundle) -> CohClass:
         if root == 0:
             continue
         total = total * _todd_factor(root, bundle.model)
-    return total
-
-
-def lambda_minus_t_factor(bundle: RootBundle, weight: int, order: int) -> QSeries:
-    """Alternating exterior-power series of the bundle, evaluated at q^weight.
-
-    For E with plus roots r_1..r_d this is the q-polynomial
-    product over i of (1 - q^weight e^(r_i x)), truncated at the order;
-    its q^0 coefficient is the unit class.
-    """
-    if not bundle.is_genuine:
-        raise VirtualBundle("lambda factors need a genuine bundle (no minus roots)")
-    if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
-        raise ValueError(f"rotation weight must be a positive integer, got {weight!r}")
-    ring = CohRing(bundle.model)
-    total = QSeries.one(ring, order)
-    for root in bundle.plus_roots:
-        factor = QSeries.from_terms(
-            ring,
-            {0: ring.one, weight: -exponential_class(root, bundle.model)},
-            order,
-        )
-        total = total * factor
     return total

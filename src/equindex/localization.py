@@ -1,17 +1,14 @@
-"""Normal data along the fixed-point manifold and its Euler class.
+"""Normal data along the fixed-point manifold and the fixed-point integral.
 
-The normal directions decompose into rotation-weight summands; the
-equivariant Euler class is the product of the per-weight lambda factors,
-a q-series with cohomology-class coefficients whose q^0 term is the unit.
-Because only weights up to the truncation order contribute modulo
-q^(order+1), an infinite (loop-space) family of weights is handled by
-materializing weights 1..order only.
-
-The inverse Euler class and the fixed-point integral never form the Euler
-class: they divide the unit, or ch(F), by each factor (1 - q^w e^(rx)) in
-turn, over integers.  The loop-space family instead takes its inverse
-Euler class from an integer plethystic recurrence, whose cost does not
-grow with the number of tangent roots.
+The normal directions decompose into rotation-weight summands, and the
+equivariant Euler class is the product of the factors (1 - q^w e^(rx)), one
+per weight w and root r.  The inverse Euler class and the fixed-point
+integral never form that product: they divide the unit, or ch(F), by each
+factor in turn, over integers.  The loop-space family, a copy of the
+complexified tangent bundle at every weight, instead takes its inverse Euler
+class from an integer plethystic recurrence, whose cost does not grow with
+the number of tangent roots.  The product itself and the explicit loop
+decomposition live in ``oracles`` as cross-checks.
 """
 
 from __future__ import annotations
@@ -22,8 +19,8 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import Iterable, Sequence, Union
 
-from .charclasses import RootBundle, VirtualBundle, lambda_minus_t_factor, todd_class
-from .cohomology import CohClass, CohRing, ManifoldModel, ModelMismatch, coh_integrate
+from .charclasses import RootBundle, VirtualBundle, todd_class
+from .cohomology import CohClass, CohRing, ManifoldModel, ModelMismatch
 from .series import QQ, FrozenRecord, QSeries
 
 LOOP = "loop"  # marker for the loop-space normal family
@@ -70,36 +67,6 @@ class NormalDecomposition(FrozenRecord):
         object.__setattr__(self, "components", tuple((w, merged[w]) for w in sorted(merged)))
 
 
-def loop_normal_decomposition(tangent: RootBundle, order: int) -> NormalDecomposition:
-    """Normal data of the free loop space along the constant loops.
-
-    Every rotation weight k >= 1 carries a copy of the complexified
-    tangent bundle, i.e. tangent plus its conjugate; weights above the
-    truncation order are invisible modulo q^(order+1) and are omitted.
-    """
-    if not tangent.is_genuine:
-        raise VirtualBundle("the tangent bundle must be genuine (no minus roots)")
-    complexified = tangent.direct_sum(tangent.conjugate())
-    return NormalDecomposition(
-        tangent.model, ((k, complexified) for k in range(1, order + 1))
-    )
-
-
-def euler_class(decomposition: NormalDecomposition, order: int) -> QSeries:
-    """Product of the per-weight lambda factors, truncated at the order.
-
-    The empty decomposition gives the unit series; in general the q^0
-    coefficient is the unit class, so the result is always invertible.
-    """
-    ring = CohRing(decomposition.model)
-    total = QSeries.one(ring, order)
-    for weight, bundle in decomposition.components:
-        if weight > order:
-            continue  # contributes 1 modulo q^(order+1)
-        total = total * lambda_minus_t_factor(bundle, weight, order)
-    return total
-
-
 def inverse_euler_class(decomposition: NormalDecomposition, order: int) -> QSeries:
     """Inverse of the Euler class modulo q^(order+1): the quotient of the unit class."""
     model = decomposition.model
@@ -124,12 +91,11 @@ def fixed_point_integral(tangent: RootBundle, normal: Union[NormalDecomposition,
         lowest, columns, denominators = _loop_quotient(tangent, terms, top)
     else:
         lowest, columns, denominators = _quotient(normal, terms, top)
-    todd = todd_class(tangent)
-    size = len(denominators)
-    # f_k integrates the basis class y^k/k! = x^k/(k! D^k) against todd
+    todd = todd_class(tangent).coeffs
+    m = model.top_index
+    # f_k integrates the basis class y^k/k! = x^k/(k! D^k) against todd: td_(m-k) x^m/(k! D^k)
     functional = [
-        coh_integrate(todd * CohClass([0] * k + [Fraction(1, d)] + [0] * (size - k - 1)), model)
-        for k, d in enumerate(denominators)
+        todd[m - k] * model.integral_normalization / d for k, d in enumerate(denominators)
     ]
     # over a common denominator the integral is an integer combination of the columns,
     # and each coefficient is one Fraction

@@ -2,16 +2,25 @@
 
 Each oracle computes a quantity the engine also produces, but by a
 deliberately different algorithm: a counting DP instead of a product
-inversion, long division instead of Newton iteration, a literal double
-sum instead of the fixed-point pipeline.  Agreement between the two
-routes is what the test suite leans on.
+inversion, long division instead of Newton iteration or the kernels'
+division by each factor, a literal double sum instead of the fixed-point
+pipeline, ch(F) as a sum of exponential classes instead of integer
+power-sum rows, and the Euler class as a product of lambda factors (over
+the explicit loop decomposition for the loop family) instead of that
+division or the plethystic recurrence.  Agreement between the two routes
+is what the test suite leans on.  No solve imports this module; the
+package loads it on first use.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
-from .series import FrozenRecord, NotInvertible, QSeries, ZZ
+from .charclasses import RootBundle, VirtualBundle
+from .cohomology import CohClass, CohRing, ManifoldModel
+from .localization import NormalDecomposition
+from .series import FrozenRecord, NotInvertible, QSeries, ZZ, as_fraction
 
 
 class PartitionTable(FrozenRecord):
@@ -103,3 +112,79 @@ def direct_cplane_index(weight: int, coefficients: Sequence[int], order: int) ->
     if weight < 0:
         return base.scale(-1).shift(step).truncate(order)
     return base
+
+
+def exponential_class(root: Fraction, model: ManifoldModel) -> CohClass:
+    """e^(r x) truncated at x^m, with exact factorials."""
+    root = as_fraction(root)
+    window = []
+    term = Fraction(1)
+    for j in range(model.top_index + 1):
+        if j > 0:
+            term = term * root / j
+        window.append(term)
+    return CohClass(window)
+
+
+def chern_character(bundle: RootBundle) -> CohClass:
+    """ch = sum of e^(rx) over plus roots minus the same over minus roots."""
+    model = bundle.model
+    total = CohClass([0] * (model.top_index + 1))
+    for root in bundle.plus_roots:
+        total = total + exponential_class(root, model)
+    for root in bundle.minus_roots:
+        total = total - exponential_class(root, model)
+    return total
+
+
+def lambda_minus_t_factor(bundle: RootBundle, weight: int, order: int) -> QSeries:
+    """Alternating exterior-power series of the bundle, evaluated at q^weight.
+
+    For E with plus roots r_1..r_d this is the q-polynomial
+    product over i of (1 - q^weight e^(r_i x)), truncated at the order;
+    its q^0 coefficient is the unit class.
+    """
+    if not bundle.is_genuine:
+        raise VirtualBundle("lambda factors need a genuine bundle (no minus roots)")
+    if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
+        raise ValueError(f"rotation weight must be a positive integer, got {weight!r}")
+    ring = CohRing(bundle.model)
+    total = QSeries.one(ring, order)
+    for root in bundle.plus_roots:
+        factor = QSeries.from_terms(
+            ring,
+            {0: ring.one, weight: -exponential_class(root, bundle.model)},
+            order,
+        )
+        total = total * factor
+    return total
+
+
+def loop_normal_decomposition(tangent: RootBundle, order: int) -> NormalDecomposition:
+    """Normal data of the free loop space along the constant loops.
+
+    Every rotation weight k >= 1 carries a copy of the complexified
+    tangent bundle, i.e. tangent plus its conjugate; weights above the
+    truncation order are invisible modulo q^(order+1) and are omitted.
+    """
+    if not tangent.is_genuine:
+        raise VirtualBundle("the tangent bundle must be genuine (no minus roots)")
+    complexified = tangent.direct_sum(tangent.conjugate())
+    return NormalDecomposition(
+        tangent.model, ((k, complexified) for k in range(1, order + 1))
+    )
+
+
+def euler_class(decomposition: NormalDecomposition, order: int) -> QSeries:
+    """Product of the per-weight lambda factors, truncated at the order.
+
+    The empty decomposition gives the unit series; in general the q^0
+    coefficient is the unit class, so the result is always invertible.
+    """
+    ring = CohRing(decomposition.model)
+    total = QSeries.one(ring, order)
+    for weight, bundle in decomposition.components:
+        if weight > order:
+            continue  # contributes 1 modulo q^(order+1)
+        total = total * lambda_minus_t_factor(bundle, weight, order)
+    return total

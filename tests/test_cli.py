@@ -265,13 +265,19 @@ IMPORT_PROBE = """
 import sys
 before = set(sys.modules)
 import equindex
-print(sorted({"dataclasses", "inspect", "argparse", "json"} & (set(sys.modules) - before)))
+print(sorted({"dataclasses", "inspect", "argparse", "json", "equindex.cli", "equindex.oracles"}
+             & (set(sys.modules) - before)))
 print(" ".join(equindex.__all__))
 equindex.cli.run(["--preset", "cplane:1", "--order", "3"])
 print("json" in set(sys.modules) - before)
 equindex.cli.run(["--preset", "cplane:1", "--order", "3", "--format", "json"])
 print("json" in set(sys.modules) - before)
+moved = {"exponential_class", "chern_character", "lambda_minus_t_factor", "euler_class",
+         "loop_normal_decomposition"}
+print(sorted(key for key, module in sys.modules.items()
+             if key.split(".")[0] == "equindex" and moved & set(vars(module))))
 print("equindex.oracles" in sys.modules, equindex.partition_numbers(4).values)
+print(equindex.euler_class is equindex.oracles.euler_class)
 """
 
 PUBLIC_NAMES = (
@@ -296,8 +302,23 @@ def test_import_loads_json_only_for_json_output():
         "False",
         '{"lowest": 0, "order": 3, "coeffs": ["1", "1", "1", "1"]}',
         "True",
+        "[]",
         "False (1, 1, 2, 3, 5)",
+        "True",
     ]
+
+
+def test_module_run_meets_no_import_warning():
+    # `python -m equindex.cli` runs a fresh copy of the module: the package must not
+    # have imported it already, or runpy warns, and under -W error ends the run
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "equindex.cli", "--preset", "ls2", "--order", "3"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "1 + 2q + 5q^2 + 10q^3\n", "")
 
 
 def test_negative_order_flag_is_rejected():
