@@ -9,12 +9,13 @@ and the lambda factors live in ``oracles`` as cross-checks.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Sequence
 
 from .cohomology import CohClass, ManifoldModel, ModelMismatch, unit_class
-from .series import QQ, FrozenRecord, QSeries, as_fraction
+from .series import FrozenRecord, as_fraction
 
 
 class VirtualBundle(ValueError):
@@ -73,19 +74,16 @@ class RootBundle(FrozenRecord):
 
 @lru_cache(maxsize=None)
 def _todd_coefficients(top_index: int) -> tuple[Fraction, ...]:
-    """Universal coefficients of t / (1 - e^(-t)) up to t^top_index.
+    """Universal coefficients c_n of t / (1 - e^(-t)) up to t^top_index.
 
-    Obtained by inverting (1 - e^(-t)) / t = sum (-1)^j t^j / (j+1)!
-    as an exact rational series; no tabulated constants.
+    They invert (1 - e^(-t)) / t = sum (-1)^j t^j / (j+1)!, so c_0 = 1 and
+    c_n = -sum over j = 1..n of (-1)^j c_(n-j) / (j+1)!; no tabulated constants.
     """
-    window = []
-    term = Fraction(1)
-    for j in range(top_index + 1):
-        if j > 0:
-            term = term * Fraction(-1, j + 1)
-        window.append(term)
-    inverse = QSeries(QQ, 0, window, top_index).inverse()
-    return tuple(inverse.coefficient(j) for j in range(top_index + 1))
+    coefficients = [Fraction(1)]
+    for n in range(1, top_index + 1):
+        coefficients.append(-sum(Fraction((-1) ** j, math.factorial(j + 1)) * coefficients[n - j]
+                                 for j in range(1, n + 1)))
+    return tuple(coefficients)
 
 
 def _todd_factor(root: Fraction, model: ManifoldModel) -> CohClass:

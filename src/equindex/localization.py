@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 from typing import Iterable, Sequence, Union
 
 from .charclasses import RootBundle, VirtualBundle, todd_class
@@ -188,43 +188,47 @@ def _loop_quotient(tangent: RootBundle, terms: Sequence[tuple[int, RootBundle]],
     With rho over the tangent roots and their negatives, 1/eul is the product
     of 1/(1 - q^w e^(rho x)) over w >= 1, that is b = exp(sum a_n q^n), where
     coordinate k of n a_n is P_k * sum over j | n of (n/j) j^k, for the power
-    sum P_k = sum_rho (rho D)^k (0 for odd k).  The coordinates of b_n are
-    integers, so n b_n = sum_k (k a_k) b_(n-k) is exact, and its cost does
-    not grow with the number of roots.  The columns convolve ch(F_a) with b.
+    sum P_k = sum_rho (rho D)^k.  The coordinates of b_n are integers, so
+    n b_n = sum_k (k a_k) b_(n-k) is exact, and its cost does not grow with
+    the number of roots.  The columns convolve ch(F_a) with b.
+
+    The roots come in pairs rho, -rho, so P_k = 0 for odd k and b is even in
+    x: an even coordinate t of b_n reads only even coordinates of a and b,
+    and an odd one, which is 0 at n = 0, stays 0.  So the recurrence runs on
+    the even coordinates alone, and coordinate t of ch(F_a) b reads only the
+    pairs (i, t - i) with i = t (mod 2).
     """
     size = tangent.model.top_index + 1
     scale, characters = _characters(size, [tangent], terms)
     lowest = min(characters, default=top + 1)
     depth = top - lowest  # a normal weight above it moves every term out of the window
     _check_work(max(depth + 1, 0), max(depth, 0), size)  # each weight costs one root
-    binomials = [[math.comb(t, i) for i in range(t + 1)] for t in range(size)]
     steps = [int(root * scale) for root in tangent.plus_roots]
     # column storage: a[k][n] is coordinate k of n a_n, b[k][n] that of b_n, for n = 0..depth
     a = [[0] * (depth + 1) for _ in range(size)]
     for k in range(0, size, 2):
         power = 2 * sum(s**k for s in steps)
         for j in range(1, depth + 1):
-            term = power * j**k
-            for n in range(j, depth + 1, j):
-                a[k][n] += n // j * term
-    live = [i for i in range(size) if any(a[i])]
+            term = power * j**k  # weight j adds (n/j) j^k P_k to n a_n at n = j, 2j, ...
+            a[k][j::j] = map(operator.add, a[k][j::j], count(term, term))
     b = [[int(k == 0)] + [0] * depth for k in range(size)]
+    rows = [(b[t], [(math.comb(t, i), a[i], b[t - i]) for i in range(0, t + 1, 2) if any(a[i])])
+            for t in range(0, size, 2)]
     for n in range(1, depth + 1):
-        for t in range(size):
-            total = sum(
-                binomials[t][i] * sum(map(operator.mul, a[i][1:n + 1], b[t - i][n - 1::-1]))
-                for i in live if i <= t
-            )
-            b[t][n], remainder = divmod(total, n)
+        for row, products in rows:
+            total = 0
+            for c, a_i, b_rest in products:
+                total += c * sum(map(operator.mul, a_i[1:n + 1], b_rest[n - 1::-1]))
+            row[n], remainder = divmod(total, n)
             if remainder:
                 raise ArithmeticError(f"plethystic recurrence is not integral at q^{n}")
     columns = [[0] * (depth + 1) for _ in range(size)]
     for weight, character in characters.items():
         offset = weight - lowest  # past depth for a term above the window: no slice to add to
-        for t in range(size):
-            for i in range(t + 1):
-                c = binomials[t][i] * character[i]
+        for t, column in enumerate(columns):
+            for i in range(t % 2, t + 1, 2):
+                c = math.comb(t, i) * character[i]
                 if c:
-                    columns[t][offset:] = map(operator.add, columns[t][offset:],
-                                              [c * v for v in b[t - i]])
+                    column[offset:] = map(operator.add, column[offset:],
+                                          map(operator.mul, b[t - i], repeat(c)))
     return lowest, columns, [math.factorial(k) * scale**k for k in range(size)]

@@ -400,14 +400,6 @@ class QSeries(Record):
         return cls(ring, payload["lowest"], payload["coeffs"], payload["order"])
 
 
-def _power_text(exponent: int) -> str:
-    if exponent == 0:
-        return ""
-    if exponent == 1:
-        return "q"
-    return f"q^{exponent}"
-
-
 def render_series(series: QSeries) -> str:
     """Render with explicit signs, lowest exponent first: ``1 + 2q + 5q^2``.
 
@@ -415,19 +407,23 @@ def render_series(series: QSeries) -> str:
     ``-3/2`` or ``-x``; a composite one, such as ``1 - x``, is parenthesised.
     """
     parts: list[str] = []
-    for exponent, value in series.terms():
+    is_zero = series.ring.is_zero
+    for exponent, value in enumerate(series.coeffs, series.lowest):
+        if is_zero(value):
+            continue
         text = str(value)
         negative = text.startswith("-") and " " not in text
         if negative:
             text = text[1:]
         elif " " in text:
             text = f"({text})"
-        power = _power_text(exponent)
-        body = power if power and text == "1" else text + power
+        if exponent:
+            power = "q" if exponent == 1 else f"q^{exponent}"
+            text = power if text == "1" else text + power
         if not parts:
-            parts.append(f"-{body}" if negative else body)
+            parts.append(f"-{text}" if negative else text)
         else:
-            parts.append(f"- {body}" if negative else f"+ {body}")
+            parts.append(f"- {text}" if negative else f"+ {text}")
     if not parts:
         return "0"
     return " ".join(parts)

@@ -110,6 +110,11 @@ def test_todd_universal_coefficients():
     assert todd_class(RootBundle(cp4, (1,))) == CohClass(
         (1, Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720))
     )
+    # and through t^6, where the Bernoulli number B_6 = 1/42 enters
+    cp6 = model_from_name("cpn:6")
+    assert todd_class(RootBundle(cp6, (1,))) == CohClass(
+        (1, Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720), 0, Fraction(1, 30240))
+    )
 
 
 def test_todd_class_is_multiplicative():

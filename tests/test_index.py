@@ -16,6 +16,7 @@ from equindex import (
     CohRing,
     DifferenceLine,
     EquivariantBundle,
+    ManifoldModel,
     ModelMismatch,
     NormalDecomposition,
     ProblemSpec,
@@ -170,6 +171,29 @@ def test_loop_sphere_with_tangent_coefficients():
     assert out.coefficient(0) == 0
     for n in range(1, order + 1):
         assert out.coefficient(n) == 3 * table.convolution(n - 1)
+
+
+def test_the_index_scales_with_the_integral_of_the_model():
+    # the cohomology of s2 with three times its fundamental class: every integral triples
+    tripled = ManifoldModel("s2x3", 1, Fraction(3), 2, genus=0)
+
+    def problem(model, normal):
+        F = EquivariantBundle(model, (
+            (-1, RootBundle(model, (Fraction(1, 2),), (-1,))),
+            (2, RootBundle(model, (3, 0))),
+        ))
+        return ProblemSpec(model=model, tangent=RootBundle(model, (2,)), normal=normal(model),
+                           F=F, L=DifferenceLine(-1, 1), order=12)
+
+    def explicit(model):
+        return NormalDecomposition(
+            model, ((1, RootBundle(model, (1, -2))), (3, RootBundle(model, (Fraction(1, 2),))))
+        )
+
+    for normal in (lambda model: LOOP, explicit):
+        once = localized_index(problem(S2, normal))
+        assert not once.is_zero
+        assert localized_index(problem(tripled, normal)) == once.scale(3)
 
 
 def test_loop_space_index_needs_a_surface():

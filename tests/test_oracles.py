@@ -179,3 +179,40 @@ def test_the_loop_recurrence_matches_division_by_each_factor(spec):
     assert _loop_quotient(spec.tangent, spec.F.terms, top) == _quotient(
         loop_normal_decomposition(spec.tangent, depth + 1), spec.F.terms, top
     )
+
+
+def test_the_loop_kernel_leaves_every_odd_coordinate_zero():
+    # the loop normal data is T + conj(T) at every weight, so 1/eul is even in x
+    for name, root in (("s2", 2), ("cpn:4", 1)):
+        model = model_from_name(name)
+        tangent = RootBundle(model, (root,) * model.top_index)
+        _, columns, _ = _loop_quotient(tangent, EquivariantBundle.trivial(model).terms, 40)
+        assert len(columns) == model.top_index + 1
+        for k, column in enumerate(columns):
+            assert len(column) == 41
+            if k % 2:
+                assert not any(column)
+            else:
+                assert all(column[1:])
+
+
+def test_the_loop_recurrence_matches_division_at_order_60():
+    # rational tangent roots, a virtual F at weights -2..2, and a window three times
+    # as deep as the hypothesis test's
+    cp4 = model_from_name("cpn:4")
+    tangent = RootBundle(cp4, (Fraction(1, 2), Fraction(-2, 3), 1, 2))
+    F = EquivariantBundle(cp4, (
+        (-2, RootBundle(cp4, (Fraction(5, 6),), (0,))),
+        (-1, RootBundle(cp4, (), (1,))),
+        (0, RootBundle(cp4, (1, -3))),
+        (1, RootBundle(cp4, (Fraction(1, 2),), (-1, 2))),
+        (2, RootBundle(cp4, (-3,))),
+    ))
+    order, depth = 60, 62
+    loop = ProblemSpec(model=cp4, tangent=tangent, normal=LOOP, F=F, order=order)
+    explicit = ProblemSpec(model=cp4, tangent=tangent,
+                           normal=loop_normal_decomposition(tangent, depth), F=F, order=order)
+    assert localized_index(loop) == localized_index(explicit)
+    assert _loop_quotient(tangent, F.terms, order) == _quotient(
+        loop_normal_decomposition(tangent, depth + 1), F.terms, order
+    )
