@@ -40,9 +40,8 @@ class RootBundle(FrozenRecord):
         plus_roots: Sequence[Any] = (),
         minus_roots: Sequence[Any] = (),
     ):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "plus_roots", tuple(sorted(as_fraction(r) for r in plus_roots)))
-        object.__setattr__(self, "minus_roots", tuple(sorted(as_fraction(r) for r in minus_roots)))
+        self._set_fields(model, tuple(sorted(as_fraction(r) for r in plus_roots)),
+                         tuple(sorted(as_fraction(r) for r in minus_roots)))
 
     @property
     def rank(self) -> int:

@@ -1,7 +1,8 @@
 """Command line front end: evaluate index problems from JSON or presets.
 
 Exit status: 0 on success, 1 for problems with the input itself (schema,
-weights, models, invertibility), 2 for I/O failures.
+weights, models, invertibility) or a result too long to write as text, 2 for
+I/O failures.
 """
 
 from __future__ import annotations
@@ -227,12 +228,16 @@ def run(argv: list[str] | None = None) -> int:
         print(f"equindex: {exc}", file=sys.stderr)
         return 1
 
-    if args.format == "json":
-        import json
+    try:
+        if args.format == "json":
+            import json
 
-        rendered = json.dumps(series.to_json())
-    else:
-        rendered = render_series(series)
+            rendered = json.dumps(series.to_json())
+        else:
+            rendered = render_series(series)
+    except ValueError as exc:  # a coefficient past Python's limit on digits in text
+        print(f"equindex: output: cannot write the result as text: {exc}", file=sys.stderr)
+        return 1
 
     if args.output:
         try:

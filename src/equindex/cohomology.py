@@ -40,11 +40,7 @@ class ManifoldModel(FrozenRecord):
         integral_normalization = Fraction(integral_normalization)
         if top_index > 0 and integral_normalization == 0:
             raise ValueError("a positive-dimensional model needs a nonzero integral")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "top_index", top_index)
-        object.__setattr__(self, "integral_normalization", integral_normalization)
-        object.__setattr__(self, "real_dimension", real_dimension)
-        object.__setattr__(self, "genus", genus)
+        self._set_fields(name, top_index, integral_normalization, real_dimension, genus)
 
     def __str__(self) -> str:
         return self.name
@@ -207,7 +203,7 @@ class CohRing(FrozenRecord, CoefficientRing):
     _fields = ("model",)
 
     def __init__(self, model: ManifoldModel):
-        object.__setattr__(self, "model", model)
+        self._set_fields(model)
 
     @property
     def name(self) -> str:  # type: ignore[override]

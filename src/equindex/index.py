@@ -31,8 +31,7 @@ class DifferenceLine(FrozenRecord):
             raise ValueError(f"difference line sign must be +1 or -1, got {sign!r}")
         if not isinstance(weight, int) or isinstance(weight, bool):
             raise ValueError(f"difference line weight must be an integer, got {weight!r}")
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "weight", weight)
+        self._set_fields(sign, weight)
 
 
 class EquivariantBundle(FrozenRecord):
@@ -61,8 +60,7 @@ class EquivariantBundle(FrozenRecord):
                 merged[weight] = merged[weight].direct_sum(bundle)
             else:
                 merged[weight] = bundle
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "terms", tuple((w, merged[w]) for w in sorted(merged)))
+        self._set_fields(model, tuple((w, merged[w]) for w in sorted(merged)))
 
     @classmethod
     def trivial(cls, model: ManifoldModel) -> "EquivariantBundle":
@@ -100,12 +98,7 @@ class ProblemSpec(FrozenRecord):
             raise ModelMismatch("coefficient bundle lives on a different model")
         if not isinstance(order, int) or isinstance(order, bool) or order < 0:
             raise ValueError(f"truncation order must be a nonnegative integer, got {order!r}")
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "tangent", tangent)
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "order", order)
+        self._set_fields(model, tangent, normal, F, L, order)
 
 
 def localized_index(spec: ProblemSpec) -> QSeries:

@@ -2,13 +2,14 @@
 
 The normal directions decompose into rotation-weight summands, and the
 equivariant Euler class is the product of the factors (1 - q^w e^(rx)), one
-per weight w and root r.  The inverse Euler class and the fixed-point
-integral never form that product: they divide the unit, or ch(F), by each
-factor in turn, over integers.  The loop-space family, a copy of the
-complexified tangent bundle at every weight, instead takes its inverse Euler
-class from an integer plethystic recurrence, whose cost does not grow with
-the number of tangent roots.  The product itself and the explicit loop
-decomposition live in ``oracles`` as cross-checks.
+per weight w and root r.  Two integer kernels compute its inverse without
+forming that product: explicit normal data divides the unit class by each
+factor in turn, and the loop-space family, a copy of the complexified
+tangent bundle at every weight, runs a plethystic recurrence whose cost does
+not grow with the number of tangent roots.  The fixed-point integral is the
+one place where ch(F) and the Todd class meet either kernel's columns.  The
+product itself and the explicit loop decomposition live in ``oracles`` as
+cross-checks.
 """
 
 from __future__ import annotations
@@ -63,14 +64,16 @@ class NormalDecomposition(FrozenRecord):
                 merged[weight] = merged[weight].direct_sum(bundle)
             else:
                 merged[weight] = bundle
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "components", tuple((w, merged[w]) for w in sorted(merged)))
+        self._set_fields(model, tuple((w, merged[w]) for w in sorted(merged)))
 
 
 def inverse_euler_class(decomposition: NormalDecomposition, order: int) -> QSeries:
-    """Inverse of the Euler class modulo q^(order+1): the quotient of the unit class."""
+    """Inverse of the Euler class modulo q^(order+1), from the division kernel."""
     model = decomposition.model
-    _, columns, denominators = _quotient(decomposition, ((0, RootBundle(model, (0,))),), order)
+    size = model.top_index + 1
+    scale, _ = _characters(size, [b for _, b in decomposition.components], ())
+    columns = _divide(decomposition, scale, size, order + 1)
+    denominators = [math.factorial(k) * scale**k for k in range(size)]
     coefficients = [
         CohClass([Fraction(c, d) for c, d in zip(row, denominators)]) for row in zip(*columns)
     ]
@@ -85,26 +88,43 @@ def fixed_point_integral(tangent: RootBundle, normal: Union[NormalDecomposition,
     The result is known through q^top.  ``normal`` is a NormalDecomposition,
     or LOOP for the loop-space family of every weight the window can see.
     ``terms`` are the summands (a, F_a) of F, at distinct weights a.
+
+    A kernel gives the columns b_j of 1/eul in the divided-power basis of
+    ``_characters``, where y^i/i! * y^j/j! = C(i+j, i) y^(i+j)/(i+j)!.  With
+    w_k the integer that sign times the integral of y^k/k! against
+    td(tangent) is over a common denominator, the term F_a contributes
+    sum_j g_(a,j) b_j, shifted to weight a, where
+    g_(a,j) = sum_i C(i+j, i) ch(F_a)_i w_(i+j): the columns of ch(F) / eul
+    are never formed.
     """
     model = tangent.model
+    size = model.top_index + 1
     if normal == LOOP:
-        lowest, columns, denominators = _loop_quotient(tangent, terms, top)
+        kernel, source, bundles = _loop_inverse, tangent, [tangent]
     else:
-        lowest, columns, denominators = _quotient(normal, terms, top)
+        kernel, source, bundles = _divide, normal, [b for _, b in normal.components]
+    scale, characters = _characters(size, bundles, terms)
+    lowest = min(characters, default=top + 1)
+    length = max(top - lowest + 1, 0)
+    columns = [(j, column) for j, column in enumerate(kernel(source, scale, size, length))
+               if any(column)]
     todd = todd_class(tangent).coeffs
     m = model.top_index
-    # f_k integrates the basis class y^k/k! = x^k/(k! D^k) against todd: td_(m-k) x^m/(k! D^k)
-    functional = [
-        todd[m - k] * model.integral_normalization / d for k, d in enumerate(denominators)
-    ]
-    # over a common denominator the integral is an integer combination of the columns,
-    # and each coefficient is one Fraction
+    # w_k integrates the basis class y^k/k! = x^k/(k! D^k) against todd: td_(m-k) x^m/(k! D^k)
+    functional = [todd[m - k] * model.integral_normalization / (math.factorial(k) * scale**k)
+                  for k in range(size)]
     common = math.lcm(*(f.denominator for f in functional))
-    values = [0] * len(columns[0])
-    for f, column in zip(functional, columns):
-        if f:
-            weight = sign * f.numerator * (common // f.denominator)
-            values = list(map(operator.add, values, map(operator.mul, column, repeat(weight))))
+    w = [sign * f.numerator * (common // f.denominator) for f in functional]
+    # over the common denominator each coefficient is an integer, and one Fraction
+    values = [0] * length
+    for j, column in columns:
+        fold = [math.comb(i + j, i) * w[i + j] for i in range(size - j)]
+        for weight, character in characters.items():
+            g = sum(map(operator.mul, character, fold))
+            if g:
+                offset = weight - lowest  # past the window for a term above top: an empty slice
+                values[offset:] = map(operator.add, values[offset:],
+                                      map(operator.mul, column, repeat(g)))
     if common == 1:
         return QSeries._trusted(QQ, lowest, list(map(Fraction, values)), top)
     return QSeries._trusted(QQ, lowest, [Fraction(v, common) for v in values], top)
@@ -144,29 +164,22 @@ def _check_work(length: int, roots: int, size: int) -> None:
                          f"over the bound {MAX_KERNEL_WORK:.0e}; ask for a lower order")
 
 
-def _quotient(decomposition: NormalDecomposition, terms: Sequence[tuple[int, RootBundle]],
-              top: int) -> tuple[int, list[list[int]], list[int]]:
-    """ch(F) / eul(normal) from the lowest weight in ``terms`` through q^top.
+def _divide(decomposition: NormalDecomposition, scale: int, size: int,
+            length: int) -> list[list[int]]:
+    """1/eul(normal) through q^(length-1), as one integer column per coordinate k.
 
-    Classes are carried in the divided-power basis of ``_characters``,
-    where y^i/i! * y^j/j! = C(i+j, i) y^(i+j)/(i+j)!, as one integer column
-    per coordinate k.  Dividing by (1 - q^w e^(rx)) is g_n = f_n + e^(rx) g_(n-w),
+    The coordinates are those of the divided-power basis y^k/k! of y = x/D
+    for the scale D.  Dividing by (1 - q^w e^(rx)) is g_n = f_n + e^(rx) g_(n-w),
     and coordinate k of e^(rx) g is the sum over j of C(k, j) (rD)^j g[k-j].
     For ascending k the terms j >= 1 read finished columns shifted by w, and
-    the term j = 0 leaves a prefix sum with stride w.  Returns the lowest
-    weight, the columns and the denominators k! D^k.
+    the term j = 0 leaves a prefix sum with stride w.  The division starts
+    from the unit class.
     """
-    size = decomposition.model.top_index + 1
-    scale, characters = _characters(size, [b for _, b in decomposition.components], terms)
-    lowest = min(characters, default=top + 1)
-    length = max(top - lowest + 1, 0)
     visible = [(w, b) for w, b in decomposition.components if w < length]  # the rest give 1
     _check_work(length, sum(len(b.plus_roots) for _, b in visible), size)
     columns = [[0] * length for _ in range(size)]
-    for weight, character in characters.items():
-        if weight <= top:
-            for column, c in zip(columns, character):
-                column[weight - lowest] = c
+    if length:
+        columns[0][0] = 1
     for weight, bundle in visible:
         for root in bundle.plus_roots:
             step = int(root * scale)
@@ -178,43 +191,39 @@ def _quotient(decomposition: NormalDecomposition, terms: Sequence[tuple[int, Roo
                                               map(operator.mul, columns[k - j], repeat(c)))
                 for r in range(weight):
                     column[r::weight] = accumulate(column[r::weight])
-    return lowest, columns, [math.factorial(k) * scale**k for k in range(size)]
+    return columns
 
 
-def _loop_quotient(tangent: RootBundle, terms: Sequence[tuple[int, RootBundle]],
-                   top: int) -> tuple[int, list[list[int]], list[int]]:
-    """What ``_quotient`` returns for the loop normal data, from a plethystic exponential.
+def _loop_inverse(tangent: RootBundle, scale: int, size: int, length: int) -> list[list[int]]:
+    """What ``_divide`` returns for the loop normal data, from a plethystic exponential.
 
     With rho over the tangent roots and their negatives, 1/eul is the product
     of 1/(1 - q^w e^(rho x)) over w >= 1, that is b = exp(sum a_n q^n), where
     coordinate k of n a_n is P_k * sum over j | n of (n/j) j^k, for the power
     sum P_k = sum_rho (rho D)^k.  The coordinates of b_n are integers, so
     n b_n = sum_k (k a_k) b_(n-k) is exact, and its cost does not grow with
-    the number of roots.  The columns convolve ch(F_a) with b.
+    the number of roots.
 
     The roots come in pairs rho, -rho, so P_k = 0 for odd k and b is even in
     x: an even coordinate t of b_n reads only even coordinates of a and b,
     and an odd one, which is 0 at n = 0, stays 0.  So the recurrence runs on
-    the even coordinates alone, and coordinate t of ch(F_a) b reads only the
-    pairs (i, t - i) with i = t (mod 2).
+    the even coordinates alone.
     """
-    size = tangent.model.top_index + 1
-    scale, characters = _characters(size, [tangent], terms)
-    lowest = min(characters, default=top + 1)
-    depth = top - lowest  # a normal weight above it moves every term out of the window
-    _check_work(max(depth + 1, 0), max(depth, 0), size)  # each weight costs one root
+    _check_work(length, max(length - 1, 0), size)  # each weight costs one root
     steps = [int(root * scale) for root in tangent.plus_roots]
-    # column storage: a[k][n] is coordinate k of n a_n, b[k][n] that of b_n, for n = 0..depth
-    a = [[0] * (depth + 1) for _ in range(size)]
+    # column storage: a[k][n] is coordinate k of n a_n, b[k][n] that of b_n, for n < length
+    a = [[0] * length for _ in range(size)]
     for k in range(0, size, 2):
         power = 2 * sum(s**k for s in steps)
-        for j in range(1, depth + 1):
+        for j in range(1, length):
             term = power * j**k  # weight j adds (n/j) j^k P_k to n a_n at n = j, 2j, ...
             a[k][j::j] = map(operator.add, a[k][j::j], count(term, term))
-    b = [[int(k == 0)] + [0] * depth for k in range(size)]
+    b = [[0] * length for _ in range(size)]
+    if length:
+        b[0][0] = 1
     rows = [(b[t], [(math.comb(t, i), a[i], b[t - i]) for i in range(0, t + 1, 2) if any(a[i])])
             for t in range(0, size, 2)]
-    for n in range(1, depth + 1):
+    for n in range(1, length):
         for row, products in rows:
             total = 0
             for c, a_i, b_rest in products:
@@ -222,13 +231,4 @@ def _loop_quotient(tangent: RootBundle, terms: Sequence[tuple[int, RootBundle]],
             row[n], remainder = divmod(total, n)
             if remainder:
                 raise ArithmeticError(f"plethystic recurrence is not integral at q^{n}")
-    columns = [[0] * (depth + 1) for _ in range(size)]
-    for weight, character in characters.items():
-        offset = weight - lowest  # past depth for a term above the window: no slice to add to
-        for t, column in enumerate(columns):
-            for i in range(t % 2, t + 1, 2):
-                c = math.comb(t, i) * character[i]
-                if c:
-                    column[offset:] = map(operator.add, column[offset:],
-                                          map(operator.mul, b[t - i], repeat(c)))
-    return lowest, columns, [math.factorial(k) * scale**k for k in range(size)]
+    return b

@@ -29,8 +29,7 @@ class PartitionTable(FrozenRecord):
     _fields = ("limit", "values")
 
     def __init__(self, limit: int, values: tuple[int, ...]):
-        object.__setattr__(self, "limit", limit)
-        object.__setattr__(self, "values", values)
+        self._set_fields(limit, values)
 
     def __getitem__(self, n: int) -> int:
         return self.values[n]

@@ -53,6 +53,11 @@ class Record:
 class FrozenRecord(Record):
     """A record whose fields are set once, by ``__init__``, and hashed."""
 
+    def _set_fields(self, *values: Any) -> None:
+        """Set the fields ``_fields`` names, in that order; ``__init__`` calls this once."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
     def __hash__(self) -> int:
         return hash(self._values())
 

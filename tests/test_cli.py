@@ -209,6 +209,25 @@ def test_schema_violations_exit_one(tmp_path):
             assert needle in result.stderr, (text, result.stderr)
 
 
+def test_a_result_too_long_for_text_exits_one(tmp_path):
+    # a root of 10^-5000 gives coefficients with 5001-digit denominators, past
+    # Python's limit on the digits of an integer converted to text
+    documents = [
+        {"manifold": "s2", "tangent": {"plus": [2]},
+         "normal": [{"weight": 1, "plus": ["1e-5000"]}],
+         "F": [{"weight": 0, "plus": [0]}], "order": 1},
+        {**LS2_DOC, "F": [{"weight": 0, "plus": ["1e-5000"]}], "order": 1},
+    ]
+    path = tmp_path / "long.json"
+    for document in documents:
+        path.write_text(json.dumps(document))
+        for fmt in ("text", "json"):
+            result = run_cli("--input", str(path), "--format", fmt)
+            assert (result.returncode, result.stdout) == (1, ""), (document, fmt)
+            assert result.stderr.startswith("equindex: output: "), result.stderr
+            assert result.stderr.count("\n") == 1, result.stderr
+
+
 def test_parse_problem_error_types():
     with pytest.raises(SchemaError):
         parse_problem(json.dumps({**LS2_DOC, "tangent": []}))

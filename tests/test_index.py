@@ -42,6 +42,7 @@ from equindex import (
     preset_spec,
     todd_class,
 )
+from equindex.localization import fixed_point_integral
 from support import assert_same_series
 
 POINT = model_from_name("point")
@@ -470,3 +471,63 @@ def _product_route(spec: ProblemSpec) -> QSeries:
 @given(problems_with_low_weights())
 def test_the_integral_matches_the_product_route(spec):
     assert localized_index(spec) == _product_route(spec)
+
+
+@st.composite
+def problems_and_second_bundles(draw):
+    """A problem on either kernel, with rational roots and a virtual F, and a second F."""
+    model = model_from_name(
+        draw(st.sampled_from(["point", "s2", "sigma:2", "cpn:2", "cpn:3", "cpn:4"]))
+    )
+    bundles = st.builds(
+        lambda plus, minus: RootBundle(model, plus, minus),
+        st.lists(ROOTS, max_size=2),
+        st.lists(ROOTS, max_size=2),
+    )
+    coefficient_bundles = st.builds(
+        lambda terms: EquivariantBundle(model, terms),
+        st.lists(st.tuples(st.integers(-4, 4), bundles), min_size=1, max_size=3),
+    )
+    tangent = RootBundle(
+        model, draw(st.lists(ROOTS, min_size=model.top_index, max_size=model.top_index))
+    )
+    if draw(st.booleans()):
+        normal = LOOP
+    else:
+        components = st.tuples(st.integers(1, 6), st.lists(ROOTS, max_size=2))
+        normal = NormalDecomposition(
+            model,
+            [(w, RootBundle(model, roots)) for w, roots in draw(st.lists(components, max_size=3))],
+        )
+    line = DifferenceLine(draw(st.sampled_from((1, -1))), draw(st.integers(-4, 4)))
+    spec = ProblemSpec(
+        model=model,
+        tangent=tangent,
+        normal=normal,
+        F=draw(coefficient_bundles),
+        L=line,
+        order=draw(st.integers(max(line.weight, 0), 20)),
+    )
+    return spec, draw(coefficient_bundles)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problems_and_second_bundles())
+def test_the_integral_is_additive_in_the_coefficient_bundle(case):
+    spec, other = case
+
+    def integral(F):
+        return fixed_point_integral(spec.tangent, spec.normal, F.terms, spec.order, spec.L.sign)
+
+    combined = EquivariantBundle(spec.model, spec.F.terms + other.terms)
+    assert integral(combined) == integral(spec.F) + integral(other)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problems_and_second_bundles())
+def test_the_difference_line_is_a_sign_and_a_shift(case):
+    spec, _ = case
+    untwisted = ProblemSpec(model=spec.model, tangent=spec.tangent, normal=spec.normal,
+                            F=spec.F, order=spec.order - spec.L.weight)
+    expected = localized_index(untwisted).scale(spec.L.sign).shift(spec.L.weight)
+    assert localized_index(spec) == expected

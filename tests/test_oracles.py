@@ -25,7 +25,7 @@ from equindex import (
     naive_inverse,
     partition_numbers,
 )
-from equindex.localization import _loop_quotient, _quotient
+from equindex.localization import _characters, _divide, _loop_inverse
 from support import assert_same_series, random_zz_series
 
 
@@ -174,10 +174,11 @@ def test_the_loop_recurrence_matches_division_by_each_factor(spec):
                            normal=loop_normal_decomposition(spec.tangent, depth),
                            F=spec.F, L=spec.L, order=spec.order)
     assert localized_index(spec) == localized_index(explicit)
-    # one weight more, which lies beyond the window, puts the tangent's denominators into
-    # the scale at depth 0 too, so the integer columns themselves agree
-    assert _loop_quotient(spec.tangent, spec.F.terms, top) == _quotient(
-        loop_normal_decomposition(spec.tangent, depth + 1), spec.F.terms, top
+    # at the engine's scale, both kernels give the same integer columns of 1/eul
+    size = spec.model.top_index + 1
+    scale, _ = _characters(size, [spec.tangent], spec.F.terms)
+    assert _loop_inverse(spec.tangent, scale, size, depth + 1) == _divide(
+        explicit.normal, scale, size, depth + 1
     )
 
 
@@ -186,7 +187,7 @@ def test_the_loop_kernel_leaves_every_odd_coordinate_zero():
     for name, root in (("s2", 2), ("cpn:4", 1)):
         model = model_from_name(name)
         tangent = RootBundle(model, (root,) * model.top_index)
-        _, columns, _ = _loop_quotient(tangent, EquivariantBundle.trivial(model).terms, 40)
+        columns = _loop_inverse(tangent, 1, model.top_index + 1, 41)
         assert len(columns) == model.top_index + 1
         for k, column in enumerate(columns):
             assert len(column) == 41
@@ -213,6 +214,7 @@ def test_the_loop_recurrence_matches_division_at_order_60():
     explicit = ProblemSpec(model=cp4, tangent=tangent,
                            normal=loop_normal_decomposition(tangent, depth), F=F, order=order)
     assert localized_index(loop) == localized_index(explicit)
-    assert _loop_quotient(tangent, F.terms, order) == _quotient(
-        loop_normal_decomposition(tangent, depth + 1), F.terms, order
+    scale, _ = _characters(5, [tangent], F.terms)
+    assert _loop_inverse(tangent, scale, 5, depth + 1) == _divide(
+        explicit.normal, scale, 5, depth + 1
     )
