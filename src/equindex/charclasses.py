@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .cohomology import CohClass, ManifoldModel, ModelMismatch, unit_class
 from .series import FrozenRecord, as_fraction
@@ -69,6 +69,20 @@ class RootBundle(FrozenRecord):
             tuple(-r for r in self.plus_roots),
             tuple(-r for r in self.minus_roots),
         )
+
+
+def merge_by_weight(model: ManifoldModel, summands: Iterable[tuple[int, RootBundle]],
+                    what: str) -> tuple[tuple[int, RootBundle], ...]:
+    """Direct sum of the bundles at each weight, sorted by weight.
+
+    Every bundle must live on ``model``; ``what`` names a summand in the error.
+    """
+    merged: dict[int, RootBundle] = {}
+    for weight, bundle in summands:
+        if bundle.model != model:
+            raise ModelMismatch(f"{what} over {bundle.model} does not live on {model}")
+        merged[weight] = merged[weight].direct_sum(bundle) if weight in merged else bundle
+    return tuple((w, merged[w]) for w in sorted(merged))
 
 
 @lru_cache(maxsize=None)

@@ -104,7 +104,7 @@ def parse_problem(text: str) -> ProblemSpec:
 
     try:
         document = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise SchemaError("$", f"invalid JSON ({exc})") from None
     top = _expect_object(
         document, "$",

@@ -13,7 +13,9 @@ import functools
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .series import CoefficientRing, FrozenRecord, NotInvertible, Record, as_fraction
+from .series import (
+    CoefficientRing, FrozenRecord, NotInvertible, Record, as_fraction, render_terms,
+)
 
 
 class UnsupportedModel(ValueError):
@@ -107,9 +109,8 @@ class CohClass(Record):
     def scalar_part(self) -> Fraction:
         return self.coeffs[0]
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
 
     def _check_length(self, other: "CohClass") -> None:
         if len(self.coeffs) != len(other.coeffs):
@@ -150,24 +151,7 @@ class CohClass(Record):
         return self.__mul__(other)
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        for j, value in enumerate(self.coeffs):
-            if value == 0:
-                continue
-            if j == 0:
-                body = str(value)
-            else:
-                power = "x" if j == 1 else f"x^{j}"
-                body = power if abs(value) == 1 else f"{abs(value)}{power}"
-                if not parts and value < 0:
-                    body = f"-{body}"
-                    parts.append(body)
-                    continue
-            if not parts:
-                parts.append(body if value > 0 or j == 0 else f"-{body}")
-            else:
-                parts.append(f"- {body}" if value < 0 else f"+ {body}")
-        return " ".join(parts) if parts else "0"
+        return render_terms(enumerate(self.coeffs), "x")
 
 
 def unit_class(model: ManifoldModel) -> CohClass:
@@ -223,26 +207,18 @@ class CohRing(FrozenRecord, CoefficientRing):
             return value
         return scalar_class(self.model, value)
 
-    def is_zero(self, value: CohClass) -> bool:
-        return value.is_zero
-
-    def is_unit(self, value: CohClass) -> bool:
-        return value.scalar_part == 1 or value.scalar_part == -1
-
     def invert_unit(self, value: CohClass) -> CohClass:
         value = self.coerce(value)
-        if not self.is_unit(value):
-            raise NotInvertible(
-                f"class with scalar part {value.scalar_part} is not a unit"
-            )
         sign = value.scalar_part
+        if sign != 1 and sign != -1:
+            raise NotInvertible(f"class with scalar part {sign} is not a unit")
         nil = value - scalar_class(self.model, sign)
         # value = sign * (1 + sign * nil); invert with a finite geometric sum
         total = self.one
         power = self.one
         for _ in range(self.model.top_index):
             power = power * (-sign * nil)
-            if power.is_zero:
+            if not power:
                 break
             total = total + power
         return sign * total

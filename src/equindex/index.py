@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Union
 
-from .charclasses import RootBundle, VirtualBundle
+from .charclasses import RootBundle, VirtualBundle, merge_by_weight
 from .cohomology import ManifoldModel, ModelMismatch, UnsupportedModel, model_from_name
 from .localization import LOOP, NormalDecomposition, fixed_point_integral
 from .series import FrozenRecord, QSeries
@@ -48,19 +48,11 @@ class EquivariantBundle(FrozenRecord):
     def __init__(
         self, model: ManifoldModel, terms: Iterable[tuple[int, RootBundle]] = ()
     ):
-        merged: dict[int, RootBundle] = {}
-        for weight, bundle in terms:
+        terms = tuple(terms)
+        for weight, _ in terms:
             if not isinstance(weight, int) or isinstance(weight, bool):
                 raise ValueError(f"F-weight must be an integer, got {weight!r}")
-            if bundle.model != model:
-                raise ModelMismatch(
-                    f"coefficient bundle over {bundle.model} does not live on {model}"
-                )
-            if weight in merged:
-                merged[weight] = merged[weight].direct_sum(bundle)
-            else:
-                merged[weight] = bundle
-        self._set_fields(model, tuple((w, merged[w]) for w in sorted(merged)))
+        self._set_fields(model, merge_by_weight(model, terms, "coefficient bundle"))
 
     @classmethod
     def trivial(cls, model: ManifoldModel) -> "EquivariantBundle":

@@ -20,8 +20,8 @@ from fractions import Fraction
 from itertools import accumulate, count, repeat
 from typing import Iterable, Sequence, Union
 
-from .charclasses import RootBundle, VirtualBundle, todd_class
-from .cohomology import CohClass, CohRing, ManifoldModel, ModelMismatch
+from .charclasses import RootBundle, VirtualBundle, merge_by_weight, todd_class
+from .cohomology import CohClass, CohRing, ManifoldModel
 from .series import QQ, FrozenRecord, QSeries
 
 LOOP = "loop"  # marker for the loop-space normal family
@@ -46,25 +46,17 @@ class NormalDecomposition(FrozenRecord):
     def __init__(
         self, model: ManifoldModel, components: Iterable[tuple[int, RootBundle]] = ()
     ):
-        merged: dict[int, RootBundle] = {}
+        components = tuple(components)
         for weight, bundle in components:
             if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
                 raise WeightError(
                     f"normal weight must be a positive integer, got {weight!r}"
                 )
-            if bundle.model != model:
-                raise ModelMismatch(
-                    f"normal component over {bundle.model} does not live on {model}"
-                )
             if not bundle.is_genuine:
                 raise VirtualBundle(
                     "normal components must be genuine bundles (no minus roots)"
                 )
-            if weight in merged:
-                merged[weight] = merged[weight].direct_sum(bundle)
-            else:
-                merged[weight] = bundle
-        self._set_fields(model, tuple((w, merged[w]) for w in sorted(merged)))
+        self._set_fields(model, merge_by_weight(model, components, "normal component"))
 
 
 def inverse_euler_class(decomposition: NormalDecomposition, order: int) -> QSeries:

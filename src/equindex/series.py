@@ -14,7 +14,7 @@ truncation windows.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 Scalar = Any  # a coefficient-ring element: int, Fraction, or a class supplied by the ring
 
@@ -71,8 +71,9 @@ class FrozenRecord(Record):
 class CoefficientRing:
     """Minimal interface a coefficient ring must provide to QSeries.
 
-    Elements support ``+``, ``-`` and ``*`` among themselves; the ring
-    object supplies constants, coercion of raw input, and unit handling.
+    Elements support ``+``, ``-`` and ``*`` among themselves, and an element
+    is zero exactly when it is falsy; the ring object supplies its name,
+    the constants, coercion of raw input, and the inverse of a unit.
     """
 
     name = "ring"
@@ -80,12 +81,6 @@ class CoefficientRing:
     one: Scalar = None
 
     def coerce(self, value: Any) -> Scalar:
-        raise NotImplementedError
-
-    def is_zero(self, value: Scalar) -> bool:
-        return value == self.zero
-
-    def is_unit(self, value: Scalar) -> bool:
         raise NotImplementedError
 
     def invert_unit(self, value: Scalar) -> Scalar:
@@ -114,11 +109,8 @@ class IntegerRing(CoefficientRing):
             return int(value)
         raise ValueError(f"not an exact integer: {value!r}")
 
-    def is_unit(self, value: int) -> bool:
-        return value == 1 or value == -1
-
     def invert_unit(self, value: int) -> int:
-        if not self.is_unit(value):
+        if value != 1 and value != -1:
             raise NotInvertible(f"{value} is not a unit integer")
         return value
 
@@ -152,14 +144,8 @@ class RationalRing(CoefficientRing):
     one = Fraction(1)
     coerce = staticmethod(as_fraction)
 
-    def is_zero(self, value: Fraction) -> bool:
-        return not value
-
-    def is_unit(self, value: Fraction) -> bool:
-        return value != 0
-
     def invert_unit(self, value: Fraction) -> Fraction:
-        if value == 0:
+        if not value:
             raise NotInvertible("zero is not invertible")
         return 1 / value
 
@@ -201,9 +187,9 @@ class QSeries(Record):
         if lowest + end - 1 > order:
             end = max(order - lowest + 1, 0)
         start = 0
-        while start < end and ring.is_zero(window[start]):
+        while start < end and not window[start]:
             start += 1
-        while end > start and ring.is_zero(window[end - 1]):
+        while end > start and not window[end - 1]:
             end -= 1
         self.ring = ring
         self.lowest = lowest + start if start < end else 0
@@ -264,7 +250,7 @@ class QSeries(Record):
     def terms(self) -> Iterator[tuple[int, Scalar]]:
         """Yield (exponent, coefficient) for the nonzero stored terms."""
         for offset, value in enumerate(self.coeffs):
-            if not self.ring.is_zero(value):
+            if value:
                 yield self.lowest + offset, value
 
     # -- ring operations ----------------------------------------------
@@ -313,8 +299,8 @@ class QSeries(Record):
         lowest = self.lowest + other.lowest
         size = max(min(len(self.coeffs) + len(other.coeffs) - 1, order - lowest + 1), 0)
         # zero tests cost a pass over a class on H(M): once per operand term, not per pair
-        mine = [(i, c) for i, c in enumerate(self.coeffs[:size]) if not ring.is_zero(c)]
-        theirs = [(j, c) for j, c in enumerate(other.coeffs[:size]) if not ring.is_zero(c)]
+        mine = [(i, c) for i, c in enumerate(self.coeffs[:size]) if c]
+        theirs = [(j, c) for j, c in enumerate(other.coeffs[:size]) if c]
         window: list = [None] * size
         for i, c1 in mine:
             for j, c2 in theirs:
@@ -371,10 +357,7 @@ class QSeries(Record):
         """
         if self.is_zero:
             raise NotInvertible("the zero series has no inverse")
-        lead = self.coeffs[0]
-        if not self.ring.is_unit(lead):
-            raise NotInvertible(f"leading coefficient {lead!r} is not a unit")
-        lead_inv = self.ring.invert_unit(lead)
+        lead_inv = self.ring.invert_unit(self.coeffs[0])
         work = self.order - self.lowest
         unit = self.shift(-self.lowest).scale(lead_inv)  # a, with a(0) = 1
         inverse = QSeries.one(self.ring, 0)
@@ -406,15 +389,20 @@ class QSeries(Record):
 
 
 def render_series(series: QSeries) -> str:
-    """Render with explicit signs, lowest exponent first: ``1 + 2q + 5q^2``.
+    """Render with explicit signs, lowest exponent first: ``1 + 2q + 5q^2``."""
+    return render_terms(enumerate(series.coeffs, series.lowest), "q")
 
-    A coefficient's text gives its sign when it is a single term, such as
-    ``-3/2`` or ``-x``; a composite one, such as ``1 - x``, is parenthesised.
+
+def render_terms(terms: Iterable[tuple[int, Scalar]], variable: str) -> str:
+    """Render (exponent, coefficient) pairs as a polynomial in ``variable``.
+
+    Zero coefficients are skipped.  A coefficient's text gives its sign when
+    it is a single term, such as ``-3/2`` or ``-x``; a composite one, such
+    as ``1 - x``, is parenthesised.
     """
     parts: list[str] = []
-    is_zero = series.ring.is_zero
-    for exponent, value in enumerate(series.coeffs, series.lowest):
-        if is_zero(value):
+    for exponent, value in terms:
+        if not value:
             continue
         text = str(value)
         negative = text.startswith("-") and " " not in text
@@ -423,7 +411,7 @@ def render_series(series: QSeries) -> str:
         elif " " in text:
             text = f"({text})"
         if exponent:
-            power = "q" if exponent == 1 else f"q^{exponent}"
+            power = variable if exponent == 1 else f"{variable}^{exponent}"
             text = power if text == "1" else text + power
         if not parts:
             parts.append(f"-{text}" if negative else text)

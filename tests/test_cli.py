@@ -199,6 +199,15 @@ def test_schema_violations_exit_one(tmp_path):
             '"F": [{"weight": 0, "plus": [0]}], "L": {"sign": 1, "sign": -1, "weight": 0}}',
             "L: duplicate field 'sign'",
         ),
+        # integers past Python's limit on the digits of an integer read from text
+        (
+            json.dumps(LS2_DOC).replace('"order": 10', '"order": ' + "9" * 5000),
+            "equindex: $: invalid JSON (Exceeds the limit",
+        ),
+        (
+            json.dumps(LS2_DOC).replace('"plus": [2]', '"plus": [1' + "0" * 4999 + "]"),
+            "equindex: $: invalid JSON (Exceeds the limit",
+        ),
     ]
     for text, *needles in bad_documents:
         path = tmp_path / "bad.json"

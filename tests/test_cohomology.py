@@ -11,7 +11,9 @@ from equindex import (
     CohClass,
     CohRing,
     NotInvertible,
+    QQ,
     UnsupportedModel,
+    ZZ,
     coh_integrate,
     model_from_name,
     scalar_class,
@@ -52,6 +54,19 @@ def test_class_entries_are_exact():
         CohClass((0.5, 1))
     with pytest.raises(ValueError):
         CohClass(())
+
+
+def test_class_text_goldens():
+    assert str(CohClass((0, 0, 0))) == "0"
+    assert str(CohClass((0, -1, 2))) == "-x + 2x^2"
+    assert str(CohClass((Fraction(-3, 2), 1))) == "-3/2 + x"
+
+
+def test_a_class_is_falsy_exactly_when_zero():
+    assert not CohClass((0,))
+    assert not CohClass((0, 0, 0))
+    assert CohClass((0, 0, Fraction(1, 3)))
+    assert CohClass((-1, 0))
 
 
 def test_addition_and_scaling():
@@ -110,10 +125,21 @@ def test_coh_ring_constants_and_coercion():
 
 def test_coh_ring_units():
     ring = CohRing(model_from_name("s2"))
-    assert ring.is_unit(CohClass((1, 5)))
-    assert ring.is_unit(CohClass((-1, Fraction(1, 3))))
-    assert not ring.is_unit(CohClass((2, 0)))
-    assert not ring.is_unit(CohClass((0, 1)))
+    assert ring.invert_unit(CohClass((1, 5)))
+    assert ring.invert_unit(CohClass((-1, Fraction(1, 3))))
+    with pytest.raises(NotInvertible):
+        ring.invert_unit(CohClass((2, 0)))
+    with pytest.raises(NotInvertible):
+        ring.invert_unit(CohClass((0, 1)))
+
+
+def test_invert_unit_is_the_only_unit_test():
+    with pytest.raises(NotInvertible):
+        ZZ.invert_unit(2)
+    with pytest.raises(NotInvertible):
+        QQ.invert_unit(Fraction(0))
+    with pytest.raises(NotInvertible):
+        CohRing(model_from_name("cpn:2")).invert_unit(CohClass((2, 1, 0)))
 
 
 def test_unit_inversion_goldens():

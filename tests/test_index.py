@@ -452,7 +452,7 @@ def test_every_coefficient_is_built_as_a_fraction():
 def _product_route(spec: ProblemSpec) -> QSeries:
     """ch(F) times the long-division inverse of the Euler class, integrated term by term."""
     characters = {weight: chern_character(bundle) for weight, bundle in spec.F.terms}
-    characters = {weight: value for weight, value in characters.items() if not value.is_zero}
+    characters = {weight: value for weight, value in characters.items() if value}
     lowest = min(characters, default=0)
     work = spec.order - min(0, lowest + spec.L.weight)
     if isinstance(spec.normal, str):

@@ -238,7 +238,7 @@ def test_the_integral_is_long_division_times_the_character(case):
     # the Euler class as a product, its long-division inverse, ch(F), and td
     ring = CohRing(tangent.model)
     characters = {a: chern_character(bundle) for a, bundle in F.terms}
-    characters = {a: value for a, value in characters.items() if not value.is_zero}
+    characters = {a: value for a, value in characters.items() if value}
     lowest = min(characters, default=top + 1)
     if lowest > top:
         assert out == QSeries.zero(QQ, top)

@@ -180,8 +180,8 @@ def assert_normal_form(series: QSeries) -> None:
     if series.is_zero:
         assert series.lowest == 0
     else:
-        assert not series.ring.is_zero(series.coeffs[0])
-        assert not series.ring.is_zero(series.coeffs[-1])
+        assert series.coeffs[0]
+        assert series.coeffs[-1]
         assert series.lowest + len(series.coeffs) - 1 <= series.order
 
 
