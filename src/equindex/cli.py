@@ -106,6 +106,8 @@ def parse_problem(text: str) -> ProblemSpec:
         document = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise SchemaError("$", f"invalid JSON ({exc})") from None
+    except RecursionError:  # arrays or objects nested past the interpreter's stack
+        raise SchemaError("$", "invalid JSON (nested too deeply)") from None
     top = _expect_object(
         document, "$",
         {"manifold", "tangent", "normal", "F", "L", "order"},

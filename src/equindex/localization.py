@@ -107,7 +107,7 @@ def fixed_point_integral(tangent: RootBundle, normal: Union[NormalDecomposition,
                   for k in range(size)]
     common = math.lcm(*(f.denominator for f in functional))
     w = [sign * f.numerator * (common // f.denominator) for f in functional]
-    # over the common denominator each coefficient is an integer, and one Fraction
+    # over the common denominator each coefficient is an integer
     values = [0] * length
     for j, column in columns:
         fold = [math.comb(i + j, i) * w[i + j] for i in range(size - j)]
@@ -117,9 +117,18 @@ def fixed_point_integral(tangent: RootBundle, normal: Union[NormalDecomposition,
                 offset = weight - lowest  # past the window for a term above top: an empty slice
                 values[offset:] = map(operator.add, values[offset:],
                                       map(operator.mul, column, repeat(g)))
+    # one Fraction per distinct value, since a window may repeat a few values
+    # (cplane:k is 1 + q^k + q^2k + ...); with no value repeated, the distinct
+    # values are the window itself, in order, and no slot needs a lookup
+    distinct = dict.fromkeys(values)
     if common == 1:
-        return QSeries._trusted(QQ, lowest, list(map(Fraction, values)), top)
-    return QSeries._trusted(QQ, lowest, [Fraction(v, common) for v in values], top)
+        fractions = list(map(Fraction, distinct))
+    else:
+        fractions = [Fraction(v, common) for v in distinct]
+    if len(fractions) < len(values):
+        table = dict(zip(distinct, fractions))
+        fractions = list(map(table.__getitem__, values))
+    return QSeries._trusted(QQ, lowest, fractions, top)
 
 
 def _characters(size: int, bundles: Sequence[RootBundle],

@@ -13,6 +13,7 @@ truncation windows.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -119,6 +120,9 @@ def as_fraction(value: Any) -> Fraction:
     """The one exact rational coercion: ints, Fractions and "p/q" strings.
 
     Floats and booleans are refused, since neither is an exact rational.
+    A string's decimal exponent may not pass the interpreter's limit on the
+    digits of an integer in text: ``Fraction("1e10000000")`` would build
+    10^(10^7) before any later guard could refuse it.
     """
     if type(value) is Fraction:
         return value
@@ -129,10 +133,14 @@ def as_fraction(value: Any) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        limit = sys.get_int_max_str_digits()  # 0 when the interpreter sets none
         try:
-            return Fraction(value)
+            exponent = abs(int(value.lower().partition("e")[2] or 0))
+            if not limit or exponent <= limit:
+                return Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"not a rational: {value!r}") from None
+        raise ValueError(f"not a rational: {value!r} has a decimal exponent past {limit}")
     raise ValueError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -398,21 +406,26 @@ def render_terms(terms: Iterable[tuple[int, Scalar]], variable: str) -> str:
 
     Zero coefficients are skipped.  A coefficient's text gives its sign when
     it is a single term, such as ``-3/2`` or ``-x``; a composite one, such
-    as ``1 - x``, is parenthesised.
+    as ``1 - x``, is parenthesised.  The sign and body are worked out once
+    per coefficient object and reused while the same object repeats.
     """
     parts: list[str] = []
+    last = None  # the coefficient whose sign and body ``negative`` and ``body`` hold
     for exponent, value in terms:
         if not value:
             continue
-        text = str(value)
-        negative = text.startswith("-") and " " not in text
-        if negative:
-            text = text[1:]
-        elif " " in text:
-            text = f"({text})"
+        if value is not last:
+            last = value
+            body = str(value)
+            negative = body.startswith("-") and " " not in body
+            if negative:
+                body = body[1:]
+            elif " " in body:
+                body = f"({body})"
+        text = body
         if exponent:
             power = variable if exponent == 1 else f"{variable}^{exponent}"
-            text = power if text == "1" else text + power
+            text = power if body == "1" else body + power
         if not parts:
             parts.append(f"-{text}" if negative else text)
         else:

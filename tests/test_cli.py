@@ -9,12 +9,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from equindex import (
     DifferenceLine,
+    ModelMismatch,
+    ProblemSpec,
     QQ,
     QSeries,
     SchemaError,
+    UnsupportedModel,
+    VirtualBundle,
     WeightError,
     cplane_spec,
     localized_index,
@@ -208,6 +214,12 @@ def test_schema_violations_exit_one(tmp_path):
             json.dumps(LS2_DOC).replace('"plus": [2]', '"plus": [1' + "0" * 4999 + "]"),
             "equindex: $: invalid JSON (Exceeds the limit",
         ),
+        # arrays nested past the interpreter's stack, alone or inside a valid field
+        ("[" * 100_000 + "]" * 100_000, "equindex: $: invalid JSON (nested too deeply)"),
+        (
+            json.dumps(LS2_DOC).replace('"F": [', '"F": [' + "[" * 100_000 + "]" * 100_000 + ", "),
+            "equindex: $: invalid JSON (nested too deeply)",
+        ),
     ]
     for text, *needles in bad_documents:
         path = tmp_path / "bad.json"
@@ -219,13 +231,14 @@ def test_schema_violations_exit_one(tmp_path):
 
 
 def test_a_result_too_long_for_text_exits_one(tmp_path):
-    # a root of 10^-5000 gives coefficients with 5001-digit denominators, past
-    # Python's limit on the digits of an integer converted to text
+    # a root of 10^-4000 on cpn:2 gives coefficients with 8001-digit numerators and
+    # denominators, past Python's limit on the digits of an integer converted to text
     documents = [
-        {"manifold": "s2", "tangent": {"plus": [2]},
-         "normal": [{"weight": 1, "plus": ["1e-5000"]}],
+        {"manifold": "cpn:2", "tangent": {"plus": [1, 2]},
+         "normal": [{"weight": 1, "plus": ["1e-4000"]}],
          "F": [{"weight": 0, "plus": [0]}], "order": 1},
-        {**LS2_DOC, "F": [{"weight": 0, "plus": ["1e-5000"]}], "order": 1},
+        {"manifold": "cpn:2", "tangent": {"plus": [1, 2]}, "normal": "loop",
+         "F": [{"weight": 0, "plus": ["1e-4000"]}], "order": 1},
     ]
     path = tmp_path / "long.json"
     for document in documents:
@@ -235,6 +248,19 @@ def test_a_result_too_long_for_text_exits_one(tmp_path):
             assert (result.returncode, result.stdout) == (1, ""), (document, fmt)
             assert result.stderr.startswith("equindex: output: "), result.stderr
             assert result.stderr.count("\n") == 1, result.stderr
+
+
+def test_a_root_with_a_huge_decimal_exponent_exits_one_at_once(tmp_path):
+    # Fraction would build 10^(10^7) here, for seconds, before any cost guard
+    path = tmp_path / "exponent.json"
+    for root in ("1e10000000", "1e-10000000", "1e30000000"):
+        path.write_text(json.dumps({**LS2_DOC, "tangent": {"plus": [root]}}))
+        result = run_cli("--input", str(path))
+        assert (result.returncode, result.stdout) == (1, ""), root
+        assert result.stderr.startswith(
+            f"equindex: tangent.plus[0]: not a rational: '{root}'"
+        ), result.stderr
+        assert result.stderr.count("\n") == 1, result.stderr
 
 
 def test_parse_problem_error_types():
@@ -361,3 +387,104 @@ def test_oversized_orders_exit_one():
         result = run_cli("--preset", preset, "--order", str(10**15))
         assert result.returncode == 1, preset
         assert result.stderr.startswith("equindex: order: "), result.stderr
+
+
+# -- generated documents ---------------------------------------------------
+
+
+def _nested_arrays(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+def _nested_objects(depth: int) -> str:
+    return '{"a": ' * depth + "0" + "}" * depth
+
+
+def _sometimes(usual: st.SearchStrategy, rare: st.SearchStrategy) -> st.SearchStrategy:
+    """Nine draws in ten from ``usual``, the tenth from ``rare``."""
+    return st.integers(0, 9).flatmap(lambda k: usual if k else rare)
+
+
+_integers = _sometimes(
+    st.one_of(st.integers(-10, 10), st.integers()).map(str),
+    # around Python's limit of 4300 digits for an integer read from text
+    st.integers(4200, 4400).map(lambda digits: "9" * digits),
+)
+_rational_strings = st.one_of(
+    st.builds("{}/{}".format, st.integers(-50, 50), st.integers(-5, 50)),
+    st.builds("{}.{}".format, st.integers(-50, 50), st.integers(0, 10**6)),
+    st.builds(
+        "{}e{}".format,
+        st.integers(-9, 9),
+        st.one_of(st.integers(-30, 30), st.integers(4290, 4310), st.integers(-(10**8), 10**8)),
+    ),
+    st.text(max_size=6),
+).map(json.dumps)
+_wrong_types = st.one_of(
+    st.sampled_from(["null", "true", "false", "0.5", "1e400", '"loop"', "{}", "[]", '"x"']),
+    st.integers(1, 3000).map(_nested_arrays),
+    st.integers(1, 3000).map(_nested_objects),
+)
+
+
+def _or_wrong(valid: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+    """Mostly ``valid``, now and then a value of a wrong type or deeply nested."""
+    return _sometimes(valid, _wrong_types)
+
+
+@st.composite
+def _objects(draw, fields: dict, optional: frozenset = frozenset()) -> str:
+    """An object's text with the keys that ``fields`` maps to value strategies.
+
+    Optional keys may be left out; now and then a key is dropped, repeated or
+    joined by a stray one, and the keys come in any order.
+    """
+    pairs = [(key, draw(value)) for key, value in fields.items()
+             if key not in optional or draw(st.booleans())]
+    change = draw(st.sampled_from((None,) * 9 + ("drop", "repeat", "stray")))
+    if change == "drop" and pairs:
+        pairs.pop(draw(st.integers(0, len(pairs) - 1)))
+    elif change == "repeat" and pairs:
+        key = draw(st.sampled_from(pairs))[0]
+        pairs.append((key, draw(fields[key])))
+    elif change == "stray":
+        pairs.append(("extra", draw(_wrong_types)))
+    pairs = draw(st.permutations(pairs))
+    return "{" + ", ".join(f"{json.dumps(key)}: {text}" for key, text in pairs) + "}"
+
+
+_roots = _or_wrong(
+    st.lists(_or_wrong(st.one_of(_integers, _rational_strings)), max_size=3)
+    .map(lambda texts: "[" + ", ".join(texts) + "]")
+)
+_weighted_bundles = st.lists(
+    _objects({"weight": _or_wrong(_integers), "plus": _roots, "minus": _roots},
+             frozenset({"plus", "minus"})),
+    max_size=3,
+).map(lambda texts: "[" + ", ".join(texts) + "]")
+_documents = _objects(
+    {
+        "manifold": _or_wrong(st.sampled_from(
+            ["point", "s2", "sigma:0", "sigma:3", "cpn:2", "cpn:4", "torus", "sigma:-1"]
+        ).map(json.dumps)),
+        "tangent": _or_wrong(_objects({"plus": _roots})),
+        "normal": _or_wrong(st.one_of(st.just('"loop"'), _weighted_bundles)),
+        "F": _or_wrong(_weighted_bundles),
+        "L": _or_wrong(_objects({"sign": _or_wrong(st.sampled_from(["1", "-1", "2"])),
+                                 "weight": _or_wrong(_integers)})),
+        "order": _or_wrong(_integers),
+    },
+    frozenset({"L", "order"}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_or_wrong(_documents))
+@example("[" * 100_000 + "]" * 100_000)
+@example(json.dumps({**LS2_DOC, "tangent": {"plus": ["1e10000000"]}}))
+def test_parse_problem_fails_only_in_documented_ways(text):
+    try:
+        spec = parse_problem(text)
+    except (SchemaError, WeightError, ModelMismatch, VirtualBundle, UnsupportedModel):
+        return
+    assert isinstance(spec, ProblemSpec)

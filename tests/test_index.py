@@ -90,6 +90,15 @@ def test_plane_negative_weight_is_a_signed_shift():
             )
 
 
+def test_plane_presets_give_fraction_coefficients_equal_to_the_direct_sum():
+    # the fold shares one Fraction per distinct value across the window
+    for weight in (1, -1, 2, 3, -3, 5, -7):
+        out = localized_index(preset_spec(f"cplane:{weight}", 500))
+        assert all(type(c) is Fraction for c in out.coeffs), weight
+        oracle = direct_cplane_index(weight, (1,), 500)
+        assert out == QSeries.from_terms(QQ, dict(oracle.terms()), oracle.order), weight
+
+
 def test_presets_match_their_oracles():
     order = 9
     table = partition_numbers(order)

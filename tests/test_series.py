@@ -27,6 +27,7 @@ from equindex import (
     naive_inverse,
     partition_numbers,
 )
+from equindex.series import render_terms
 from support import (
     assert_is_one,
     assert_same_series,
@@ -75,6 +76,17 @@ def test_integer_ring_rejects_fractions():
 def test_rational_ring_rejects_floats():
     with pytest.raises(ValueError):
         QSeries(QQ, 0, (0.5,), 4)
+
+
+def test_a_decimal_exponent_past_the_digit_limit_is_refused():
+    # Fraction would build 10^(10^7) first, taking seconds to minutes
+    assert QQ.coerce("3/2") == Fraction(3, 2)
+    assert QQ.coerce("0.5") == Fraction(1, 2)
+    assert QQ.coerce("1e-4000") == Fraction(1, 10**4000)
+    assert QQ.coerce("1e4300") == 10**4300
+    for text in ("1e4301", "1e10000000", "1e-10000000", "1E+30000000"):
+        with pytest.raises(ValueError, match="decimal exponent past 4300"):
+            QQ.coerce(text)
 
 
 # -- arithmetic --------------------------------------------------------
@@ -310,6 +322,65 @@ def test_text_rendering_goldens():
         CohClass((0, 0, -1)), CohClass((1, 0, Fraction(1, 2))), CohClass((0, -2, 0)), cp2.one,
     )
     assert str(QSeries(cp2, 1, window, 9)) == "-x^2q + (1 + 1/2x^2)q^2 - 2xq^3 + q^4"
+
+
+# a fold makes one Fraction per distinct value, so a window shares its coefficient
+# objects; the renderer reuses one object's sign and body while it repeats.  Small
+# ints are cached by the interpreter, so ZZ's pool also holds large ones.
+_SHARED_POOLS = {
+    "ZZ": (ZZ, (1, -1, 2, -3, 10**20, -(10**20)), lambda c: int(str(c))),
+    "QQ": (
+        QQ,
+        (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2), Fraction(7), Fraction(-7, 3)),
+        lambda c: Fraction(c.numerator, c.denominator),
+    ),
+    "H(cpn:2)": (
+        CP2_RING,
+        tuple(CohClass(c) for c in (
+            (1, 0, 0), (-1, 0, 0), (1, -1, 0), (-1, 1, 0), (0, -1, 0),
+            (0, 0, Fraction(1, 2)), (0, 0, Fraction(-1, 2)), (2, 0, 1),
+        )),
+        lambda c: CohClass(c.coeffs),
+    ),
+}
+
+
+def _term_by_term(window: list, lowest: int) -> str:
+    """The window's text from one render per nonzero term, so no object repeats."""
+    texts = [render_terms([(e, c)], "q") for e, c in enumerate(window, lowest) if c]
+    signed = [f"- {t[1:]}" if t.startswith("-") else f"+ {t}" for t in texts[1:]]
+    return " ".join(texts[:1] + signed) or "0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(_SHARED_POOLS)),
+    st.integers(-3, 3),
+    st.lists(st.integers(-1, 7), max_size=30),
+)
+def test_shared_coefficients_render_as_fresh_equal_ones(name, lowest, picks):
+    ring, pool, rebuild = _SHARED_POOLS[name]
+    window = [ring.zero if i < 0 else pool[i % len(pool)] for i in picks]
+    fresh = [rebuild(c) for c in window]
+    assert fresh == window
+    text = render_terms(enumerate(window, lowest), "q")
+    assert text == render_terms(enumerate(fresh, lowest), "q")
+    assert text == _term_by_term(window, lowest)
+
+
+def test_a_shared_negative_after_a_shared_positive_golden():
+    half, minus_half, one, minus_one = Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1)
+    window = (half, half, 0, minus_half, minus_half, one, one, minus_one, minus_one, half)
+    assert (
+        str(QSeries(QQ, 0, window, 9))
+        == "1/2 + 1/2q - 1/2q^3 - 1/2q^4 + q^5 + q^6 - q^7 - q^8 + 1/2q^9"
+    )
+    one_minus_x, minus_x = CohClass((1, -1, 0)), CohClass((0, -1, 0))
+    window = (one_minus_x, one_minus_x, minus_x, minus_x, one_minus_x)
+    assert (
+        str(QSeries(CP2_RING, 0, window, 9))
+        == "(1 - x) + (1 - x)q - xq^2 - xq^3 + (1 - x)q^4"
+    )
 
 
 def test_json_round_trip():
