@@ -2,9 +2,10 @@
 
 A bundle over a monogenic-cohomology manifold is given by two multisets
 of rational roots: a root r stands for a line summand with first Chern
-class r*x.  The Todd class is evaluated exactly in Q[x]/(x^(m+1)); the
-localization kernels read the roots themselves, and the Chern character
-and the lambda factors live in ``oracles`` as cross-checks.
+class r*x.  The Todd class is evaluated exactly in Q[x]/(x^(m+1)), over the
+integers from the roots' power sums; the localization kernels read the roots
+themselves, and the Chern character, the lambda factors and the per-root Todd
+product live in ``oracles`` as cross-checks.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Iterable, Sequence
 
-from .cohomology import CohClass, ManifoldModel, ModelMismatch, unit_class
+from .cohomology import CohClass, ManifoldModel, ModelMismatch
 from .series import FrozenRecord, as_fraction
 
 
@@ -86,31 +87,46 @@ def merge_by_weight(model: ManifoldModel, summands: Iterable[tuple[int, RootBund
 
 
 @lru_cache(maxsize=None)
-def _todd_coefficients(top_index: int) -> tuple[Fraction, ...]:
-    """Universal coefficients c_n of t / (1 - e^(-t)) up to t^top_index.
+def _todd_logarithm(top_index: int) -> tuple[int, tuple[int, ...]]:
+    """L and the integers L^k l_k, k = 1..top_index, of log(t / (1 - e^(-t))) = sum l_k t^k.
 
-    They invert (1 - e^(-t)) / t = sum (-1)^j t^j / (j+1)!, so c_0 = 1 and
-    c_n = -sum over j = 1..n of (-1)^j c_(n-j) / (j+1)!; no tabulated constants.
+    Its derivative is 1/t - 1/(e^t - 1), so l_k = -B_k / (k k!) for the Bernoulli numbers
+    of sum_(j<=n) C(n+1, j) B_j = 0; L is the lcm of the denominators of l_1..l_top_index.
     """
-    coefficients = [Fraction(1)]
+    bernoulli = [Fraction(1)]
     for n in range(1, top_index + 1):
-        coefficients.append(-sum(Fraction((-1) ** j, math.factorial(j + 1)) * coefficients[n - j]
-                                 for j in range(1, n + 1)))
-    return tuple(coefficients)
+        bernoulli.append(-sum(math.comb(n + 1, j) * b for j, b in enumerate(bernoulli)) / (n + 1))
+    logarithm = [-bernoulli[k] / (k * math.factorial(k)) for k in range(1, top_index + 1)]
+    scale = math.lcm(*(c.denominator for c in logarithm))
+    return scale, tuple(int(c * scale**k) for k, c in enumerate(logarithm, 1))
 
 
-def _todd_factor(root: Fraction, model: ManifoldModel) -> CohClass:
-    universal = _todd_coefficients(model.top_index)
-    return CohClass([c * root**j for j, c in enumerate(universal)])
+def todd_numerators(bundle: RootBundle) -> tuple[int, list[int]]:
+    """Integers c and E_0..E_m with td(bundle) = sum E_n x^n / (n! c^n), from power sums.
+
+    td = exp(sum l_k P_k x^k) for the power sums P_k of the roots.  With the steps s = re
+    for e the lcm of the root denominators, and c = L e, that is exp(sum G_k (x/c)^k) for
+    the integers G_k = L^k l_k sum s^k, so E_n = sum_(k=1..n) k (n-1)!/(n-k)! G_k E_(n-k).
+    """
+    if not bundle.is_genuine:
+        raise VirtualBundle("the Todd class needs a genuine bundle (no minus roots)")
+    scale, logarithm = _todd_logarithm(bundle.model.top_index)
+    e = math.lcm(*(r.denominator for r in bundle.plus_roots))
+    steps = [r.numerator * (e // r.denominator) for r in bundle.plus_roots]
+    g = [0] + [c * sum(s**k for s in steps) for k, c in enumerate(logarithm, 1)]
+    numerators = [1]
+    for n in range(1, len(g)):
+        numerators.append(sum(k * math.perm(n - 1, k - 1) * g[k] * numerators[n - k]
+                              for k in range(1, n + 1)))
+    return scale * e, numerators
 
 
 def todd_class(bundle: RootBundle) -> CohClass:
-    """td = product over roots of rx / (1 - e^(-rx)); the root 0 contributes 1."""
-    if not bundle.is_genuine:
-        raise VirtualBundle("the Todd class needs a genuine bundle (no minus roots)")
-    total = unit_class(bundle.model)
-    for root in bundle.plus_roots:
-        if root == 0:
-            continue
-        total = total * _todd_factor(root, bundle.model)
-    return total
+    """td = product over roots of rx / (1 - e^(-rx)); the root 0 contributes 1.
+
+    >>> from equindex import model_from_name
+    >>> str(todd_class(RootBundle(model_from_name("cpn:4"), (1,))))
+    '1 + 1/2x + 1/12x^2 - 1/720x^4'
+    """
+    c, numerators = todd_numerators(bundle)
+    return CohClass([Fraction(v, math.factorial(n) * c**n) for n, v in enumerate(numerators)])

@@ -22,7 +22,7 @@ from .index import (
     preset_spec,
 )
 from .localization import NormalDecomposition, WeightError
-from .series import NotInvertible, as_fraction, render_series
+from .series import NotInvertible, as_fraction, render_series, shorten
 
 if TYPE_CHECKING:
     import argparse
@@ -45,10 +45,10 @@ def _expect_object(value: Any, path: str, allowed: set[str], required: set[str])
     if not isinstance(value, dict):
         raise SchemaError(path, "expected a JSON object")
     if _REPEATED in value:
-        raise SchemaError(path, f"duplicate field {value[_REPEATED]!r}")
+        raise SchemaError(path, f"duplicate field {shorten(repr(value[_REPEATED]))}")
     for key in value:
         if key not in allowed:
-            raise SchemaError(f"{path}.{key}", "unexpected field")
+            raise SchemaError(f"{path}.{shorten(key)}", "unexpected field")
     for key in required:
         if key not in value:
             raise SchemaError(path, f"missing required field {key!r}")
@@ -57,7 +57,7 @@ def _expect_object(value: Any, path: str, allowed: set[str], required: set[str])
 
 def _integer(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected an integer, got {value!r}")
+        raise SchemaError(path, f"expected an integer, got {shorten(repr(value))}")
     return value
 
 

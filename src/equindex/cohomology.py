@@ -15,6 +15,7 @@ from typing import Any, Sequence
 
 from .series import (
     CoefficientRing, FrozenRecord, NotInvertible, Record, as_fraction, render_terms,
+    shorten,
 )
 
 
@@ -64,7 +65,7 @@ def model_from_name(name: str) -> ManifoldModel:
     if name.startswith("cpn:"):
         n = _parse_suffix(name, "cpn:", minimum=1)
         return ManifoldModel(name, n, Fraction(1), 2 * n)
-    raise UnsupportedModel(f"unknown manifold model: {name!r}")
+    raise UnsupportedModel(f"unknown manifold model: {shorten(repr(name))}")
 
 
 def _parse_suffix(name: str, prefix: str, minimum: int) -> int:
@@ -72,9 +73,10 @@ def _parse_suffix(name: str, prefix: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise UnsupportedModel(f"manifold parameter must be an integer: {name!r}") from None
+        raise UnsupportedModel(
+            f"manifold parameter must be an integer: {shorten(repr(name))}") from None
     if value < minimum:
-        raise UnsupportedModel(f"manifold parameter out of range: {name!r}")
+        raise UnsupportedModel(f"manifold parameter out of range: {shorten(repr(name))}")
     return value
 
 

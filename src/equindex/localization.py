@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import accumulate, count, repeat
 from typing import Iterable, Sequence, Union
 
-from .charclasses import RootBundle, VirtualBundle, merge_by_weight, todd_class
+from .charclasses import RootBundle, VirtualBundle, merge_by_weight, todd_numerators
 from .cohomology import CohClass, CohRing, ManifoldModel
 from .series import QQ, FrozenRecord, QSeries
 
@@ -100,13 +100,16 @@ def fixed_point_integral(tangent: RootBundle, normal: Union[NormalDecomposition,
     length = max(top - lowest + 1, 0)
     columns = [(j, column) for j, column in enumerate(kernel(source, scale, size, length))
                if any(column)]
-    todd = todd_class(tangent).coeffs
-    m = model.top_index
-    # w_k integrates the basis class y^k/k! = x^k/(k! D^k) against todd: td_(m-k) x^m/(k! D^k)
-    functional = [todd[m - k] * model.integral_normalization / (math.factorial(k) * scale**k)
+    # y^k/k! = x^k/(k! D^k) integrates against td, whose x^n coefficient is E_n/(n! c^n),
+    # to N E_(m-k)/((m-k)! c^(m-k) k! D^k) = W_k/total; w and common are in lowest terms
+    c, todd = todd_numerators(tangent)
+    m, normalization = model.top_index, model.integral_normalization
+    total = math.factorial(m) * (c * scale)**m * normalization.denominator
+    functional = [normalization.numerator * math.comb(m, k) * todd[m - k] * c**k * scale**(m - k)
                   for k in range(size)]
-    common = math.lcm(*(f.denominator for f in functional))
-    w = [sign * f.numerator * (common // f.denominator) for f in functional]
+    divisor = math.gcd(total, *functional)
+    common = total // divisor
+    w = [sign * (v // divisor) for v in functional]
     # over the common denominator each coefficient is an integer
     values = [0] * length
     for j, column in columns:

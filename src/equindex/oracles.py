@@ -4,21 +4,24 @@ Each oracle computes a quantity the engine also produces, but by a
 deliberately different algorithm: a counting DP instead of a product
 inversion, long division instead of Newton iteration or the kernels'
 division by each factor, a literal double sum instead of the fixed-point
-pipeline, ch(F) as a sum of exponential classes instead of integer
-power-sum rows, and the Euler class as a product of lambda factors (over
-the explicit loop decomposition for the loop family) instead of that
-division or the plethystic recurrence.  Agreement between the two routes
+pipeline, ch(F) as a sum of exponential classes and the Todd class as a
+product of one factor per root instead of integer power sums, and the
+Euler class as a product of lambda factors (over the explicit loop
+decomposition for the loop family) instead of that division or the
+plethystic recurrence.  Agreement between the two routes
 is what the test suite leans on.  No solve imports this module; the
 package loads it on first use.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .charclasses import RootBundle, VirtualBundle
-from .cohomology import CohClass, CohRing, ManifoldModel
+from .cohomology import CohClass, CohRing, ManifoldModel, unit_class
 from .localization import NormalDecomposition
 from .series import FrozenRecord, NotInvertible, QSeries, ZZ, as_fraction
 
@@ -130,6 +133,37 @@ def chern_character(bundle: RootBundle) -> CohClass:
         total = total + exponential_class(root, model)
     for root in bundle.minus_roots:
         total = total - exponential_class(root, model)
+    return total
+
+
+@lru_cache(maxsize=None)
+def _todd_coefficients(top_index: int) -> tuple[Fraction, ...]:
+    """Universal coefficients c_n of t / (1 - e^(-t)) up to t^top_index.
+
+    They invert (1 - e^(-t)) / t = sum (-1)^j t^j / (j+1)!, so c_0 = 1 and
+    c_n = -sum over j = 1..n of (-1)^j c_(n-j) / (j+1)!; no tabulated constants.
+    """
+    coefficients = [Fraction(1)]
+    for n in range(1, top_index + 1):
+        coefficients.append(-sum(Fraction((-1) ** j, math.factorial(j + 1)) * coefficients[n - j]
+                                 for j in range(1, n + 1)))
+    return tuple(coefficients)
+
+
+def _todd_factor(root: Fraction, model: ManifoldModel) -> CohClass:
+    universal = _todd_coefficients(model.top_index)
+    return CohClass([c * root**j for j, c in enumerate(universal)])
+
+
+def todd_product(bundle: RootBundle) -> CohClass:
+    """td = product over roots of rx / (1 - e^(-rx)); the root 0 contributes 1."""
+    if not bundle.is_genuine:
+        raise VirtualBundle("the Todd class needs a genuine bundle (no minus roots)")
+    total = unit_class(bundle.model)
+    for root in bundle.plus_roots:
+        if root == 0:
+            continue
+        total = total * _todd_factor(root, bundle.model)
     return total
 
 

@@ -116,6 +116,11 @@ class IntegerRing(CoefficientRing):
         return value
 
 
+def shorten(text: str) -> str:
+    """At most the first 60 characters of ``text`` and "...": an error line quotes input."""
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def as_fraction(value: Any) -> Fraction:
     """The one exact rational coercion: ints, Fractions and "p/q" strings.
 
@@ -139,8 +144,9 @@ def as_fraction(value: Any) -> Fraction:
             if not limit or exponent <= limit:
                 return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"not a rational: {value!r}") from None
-        raise ValueError(f"not a rational: {value!r} has a decimal exponent past {limit}")
+            raise ValueError(f"not a rational: {shorten(repr(value))}") from None
+        raise ValueError(
+            f"not a rational: {shorten(repr(value))} has a decimal exponent past {limit}")
     raise ValueError(f"expected an exact rational, got {type(value).__name__}")
 
 

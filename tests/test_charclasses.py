@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from equindex import (
     CohClass,
@@ -20,6 +22,7 @@ from equindex import (
     model_from_name,
     todd_class,
 )
+from equindex.oracles import todd_product
 
 S2 = model_from_name("s2")
 CP2 = model_from_name("cpn:2")
@@ -115,6 +118,25 @@ def test_todd_universal_coefficients():
     assert todd_class(RootBundle(cp6, (1,))) == CohClass(
         (1, Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720), 0, Fraction(1, 30240))
     )
+
+
+TODD_MODELS = st.sampled_from(
+    ["point", "s2", *(f"sigma:{g}" for g in range(4)), *(f"cpn:{n}" for n in range(1, 9))]
+)
+# 0, negatives and denominators up to 12, from a pool small enough that roots repeat
+TODD_ROOTS = st.lists(
+    st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-7, 7), st.integers(1, 12))),
+    max_size=7,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TODD_MODELS, TODD_ROOTS)
+@example("cpn:8", [Fraction(1)] * 9)
+@example("cpn:5", [Fraction(0), Fraction(-7, 12), Fraction(-7, 12), Fraction(5, 11)])
+def test_todd_class_equals_the_per_root_product(name, roots):
+    bundle = RootBundle(model_from_name(name), roots)
+    assert todd_class(bundle) == todd_product(bundle)
 
 
 def test_todd_class_is_multiplicative():

@@ -214,6 +214,12 @@ def test_schema_violations_exit_one(tmp_path):
             json.dumps(LS2_DOC).replace('"plus": [2]', '"plus": [1' + "0" * 4999 + "]"),
             "equindex: $: invalid JSON (Exceeds the limit",
         ),
+        # an oversized value is quoted cut short, after its JSON path
+        (json.dumps({**LS2_DOC, "order": [0] * 200_000}), "equindex: order: "),
+        (
+            json.dumps({**LS2_DOC, "tangent": {"plus": ["9" * 1_000_000]}}),
+            "equindex: tangent.plus[0]: not a rational: ",
+        ),
         # arrays nested past the interpreter's stack, alone or inside a valid field
         ("[" * 100_000 + "]" * 100_000, "equindex: $: invalid JSON (nested too deeply)"),
         (
@@ -228,6 +234,8 @@ def test_schema_violations_exit_one(tmp_path):
         assert result.returncode == 1, text
         for needle in needles:
             assert needle in result.stderr, (text, result.stderr)
+        # one line, whatever the size of the input
+        assert result.stderr.count("\n") == 1 and len(result.stderr.encode()) < 300, text[:80]
 
 
 def test_a_result_too_long_for_text_exits_one(tmp_path):
@@ -327,7 +335,7 @@ print("json" in set(sys.modules) - before)
 equindex.cli.run(["--preset", "cplane:1", "--order", "3", "--format", "json"])
 print("json" in set(sys.modules) - before)
 moved = {"exponential_class", "chern_character", "lambda_minus_t_factor", "euler_class",
-         "loop_normal_decomposition"}
+         "loop_normal_decomposition", "todd_product"}
 print(sorted(key for key, module in sys.modules.items()
              if key.split(".")[0] == "equindex" and moved & set(vars(module))))
 print("equindex.oracles" in sys.modules, equindex.partition_numbers(4).values)

@@ -40,9 +40,9 @@ from equindex import (
     parse_problem,
     partition_numbers,
     preset_spec,
-    todd_class,
 )
 from equindex.localization import fixed_point_integral
+from equindex.oracles import todd_product
 from support import assert_same_series
 
 POINT = model_from_name("point")
@@ -470,7 +470,7 @@ def _product_route(spec: ProblemSpec) -> QSeries:
         normal = spec.normal
     inverse = naive_inverse(euler_class(normal, work), work)
     total = QSeries.from_terms(CohRing(spec.model), characters, work + lowest) * inverse
-    todd = todd_class(spec.tangent)
+    todd = todd_product(spec.tangent)
     integrated = {n: coh_integrate(value * todd, spec.model) for n, value in total.terms()}
     out = QSeries.from_terms(QQ, integrated, total.order).scale(spec.L.sign)
     return out.shift(spec.L.weight).truncate(spec.order)

@@ -28,9 +28,9 @@ from equindex import (
     model_from_name,
     naive_inverse,
     partition_numbers,
-    todd_class,
 )
 from equindex.localization import MAX_KERNEL_WORK, _check_work, fixed_point_integral
+from equindex.oracles import todd_product
 from support import assert_is_one, assert_same_series, random_decomposition
 
 POINT = model_from_name("point")
@@ -245,7 +245,7 @@ def test_the_integral_is_long_division_times_the_character(case):
         return
     inverse = naive_inverse(euler_class(normal, top - lowest), top - lowest)
     total = QSeries.from_terms(ring, characters, top) * inverse
-    todd = todd_class(tangent)
+    todd = todd_product(tangent)
     integrated = {n: coh_integrate(value * todd, tangent.model) for n, value in total.terms()}
     assert out == QSeries.from_terms(QQ, integrated, top).scale(sign)
 
