@@ -16,14 +16,14 @@ from functools import lru_cache
 from typing import Any, Iterable, Sequence
 
 from .cohomology import CohClass, ManifoldModel, ModelMismatch
-from .series import FrozenRecord, as_fraction
+from .series import Record, as_fraction
 
 
 class VirtualBundle(ValueError):
     """An operation needing a genuine bundle met nonempty minus_roots."""
 
 
-class RootBundle(FrozenRecord):
+class RootBundle(Record):
     """A virtual bundle: formal difference of sums of line bundles.
 
     ``plus_roots`` and ``minus_roots`` are multisets of rational Chern

@@ -2,21 +2,17 @@
 
 Every supported manifold has monogenic even cohomology, so a class is
 just the vector of its coefficients in 1, x, ..., x^m with exact rational
-entries.  The model records the top index m, the value of the integral of
-x^m over the manifold, the real dimension (for reporting), and the genus
-of a surface.
+entries, and the integral over the manifold reads the x^m entry.  A model
+is its name, its top index m, and the genus of a surface.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Iterable
 
-from .series import (
-    CoefficientRing, FrozenRecord, NotInvertible, Record, as_fraction, render_terms,
-    shorten,
-)
+from .series import CoefficientRing, NotInvertible, Record, as_fraction, render_terms, shorten
 
 
 class UnsupportedModel(ValueError):
@@ -27,23 +23,15 @@ class ModelMismatch(ValueError):
     """Two objects built over different manifold models were combined."""
 
 
-class ManifoldModel(FrozenRecord):
-    _fields = ("name", "top_index", "integral_normalization", "real_dimension", "genus")
+class ManifoldModel(Record):
+    """A manifold's name, its top cohomology index m, and its genus if it is a surface."""
 
-    def __init__(
-        self,
-        name: str,
-        top_index: int,
-        integral_normalization: Fraction,
-        real_dimension: int,
-        genus: int | None = None,  # set for closed orientable surfaces only
-    ):
+    _fields = ("name", "top_index", "genus")
+
+    def __init__(self, name: str, top_index: int, genus: int | None = None):
         if top_index < 0:
             raise ValueError("top cohomology index must be nonnegative")
-        integral_normalization = Fraction(integral_normalization)
-        if top_index > 0 and integral_normalization == 0:
-            raise ValueError("a positive-dimensional model needs a nonzero integral")
-        self._set_fields(name, top_index, integral_normalization, real_dimension, genus)
+        self._set_fields(name, top_index, genus)
 
     def __str__(self) -> str:
         return self.name
@@ -56,15 +44,15 @@ def model_from_name(name: str) -> ManifoldModel:
     of genus g), ``cpn:<n>`` (complex projective n-space).
     """
     if name == "point":
-        return ManifoldModel("point", 0, Fraction(1), 0)
+        return ManifoldModel("point", 0)
     if name == "s2":
-        return ManifoldModel("s2", 1, Fraction(1), 2, genus=0)
+        return ManifoldModel("s2", 1, genus=0)
     if name.startswith("sigma:"):
         genus = _parse_suffix(name, "sigma:", minimum=0)
-        return ManifoldModel(f"sigma:{genus}", 1, Fraction(1), 2, genus=genus)
+        return ManifoldModel(f"sigma:{genus}", 1, genus=genus)
     if name.startswith("cpn:"):
         n = _parse_suffix(name, "cpn:", minimum=1)
-        return ManifoldModel(name, n, Fraction(1), 2 * n)
+        return ManifoldModel(name, n)
     raise UnsupportedModel(f"unknown manifold model: {shorten(repr(name))}")
 
 
@@ -90,22 +78,11 @@ class CohClass(Record):
     _fields = ("coeffs",)
     coeffs: tuple[Fraction, ...]
 
-    def __init__(self, coeffs: Sequence[Any]):
+    def __init__(self, coeffs: Iterable[Any]):
         window = tuple(as_fraction(c) for c in coeffs)
         if not window:
             raise ValueError("a cohomology class needs at least the degree-0 entry")
-        self.coeffs = window
-
-    @classmethod
-    def _trusted(cls, window: tuple[Fraction, ...]) -> "CohClass":
-        """A class from a nonempty tuple of Fractions, taken as it is.
-
-        Arithmetic builds its results here, so entries are coerced only
-        once, by the public constructor.
-        """
-        value = cls.__new__(cls)
-        value.coeffs = window
-        return value
+        self._set_fields(window)
 
     @property
     def scalar_part(self) -> Fraction:
@@ -122,16 +99,16 @@ class CohClass(Record):
         if not isinstance(other, CohClass):
             return NotImplemented
         self._check_length(other)
-        return CohClass._trusted(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return CohClass(a + b for a, b in zip(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "CohClass") -> "CohClass":
         if not isinstance(other, CohClass):
             return NotImplemented
         self._check_length(other)
-        return CohClass._trusted(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return CohClass(a - b for a, b in zip(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "CohClass":
-        return CohClass._trusted(tuple(-a for a in self.coeffs))
+        return CohClass(-a for a in self.coeffs)
 
     def __mul__(self, other: Any) -> "CohClass":
         if isinstance(other, CohClass):
@@ -145,9 +122,9 @@ class CohClass(Record):
                     b = other.coeffs[j]
                     if b != 0:
                         out[i + j] += a * b
-            return CohClass._trusted(tuple(out))
+            return CohClass(out)
         scalar = as_fraction(other)
-        return CohClass._trusted(tuple(scalar * a for a in self.coeffs))
+        return CohClass(scalar * a for a in self.coeffs)
 
     def __rmul__(self, other: Any) -> "CohClass":
         return self.__mul__(other)
@@ -174,12 +151,12 @@ def _check_model(a: CohClass, model: ManifoldModel) -> None:
 
 
 def coh_integrate(a: CohClass, model: ManifoldModel) -> Fraction:
-    """Integrate over the manifold: the x^m coefficient times the normalization."""
+    """Integrate over the manifold: the x^m coefficient."""
     _check_model(a, model)
-    return a.coeffs[model.top_index] * model.integral_normalization
+    return a.coeffs[model.top_index]
 
 
-class CohRing(FrozenRecord, CoefficientRing):
+class CohRing(Record, CoefficientRing):
     """Cohomology classes of a fixed model as a series coefficient ring.
 
     Units are the classes with scalar part +-1 (everything above degree

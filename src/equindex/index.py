@@ -18,10 +18,10 @@ from typing import Iterable, Sequence, Union
 from .charclasses import RootBundle, VirtualBundle, merge_by_weight
 from .cohomology import ManifoldModel, ModelMismatch, UnsupportedModel, model_from_name
 from .localization import LOOP, NormalDecomposition, fixed_point_integral
-from .series import FrozenRecord, QSeries
+from .series import QSeries, Record, shorten
 
 
-class DifferenceLine(FrozenRecord):
+class DifferenceLine(Record):
     """A one-dimensional twist: contributes sign * q^weight."""
 
     _fields = ("sign", "weight")
@@ -34,7 +34,7 @@ class DifferenceLine(FrozenRecord):
         self._set_fields(sign, weight)
 
 
-class EquivariantBundle(FrozenRecord):
+class EquivariantBundle(Record):
     """The coefficient bundle F = sum over weights a of F_a q^a.
 
     Terms are ((weight, bundle), ...), merged by weight and sorted;
@@ -60,7 +60,7 @@ class EquivariantBundle(FrozenRecord):
         return cls(model, ((0, RootBundle(model, (0,))),))
 
 
-class ProblemSpec(FrozenRecord):
+class ProblemSpec(Record):
     """Everything the localized index needs, validated for model agreement."""
 
     _fields = ("model", "tangent", "normal", "F", "L", "order")
@@ -185,7 +185,8 @@ def preset_spec(name: str, order: int) -> ProblemSpec:
         try:
             weight = int(name[len("cplane:"):])
         except ValueError:
-            raise ValueError(f"preset parameter must be an integer: {name!r}") from None
+            raise ValueError(
+                f"preset parameter must be an integer: {shorten(repr(name))}") from None
         return cplane_spec(weight, (1,), order)
     if name == "ls2":
         surface = model_from_name("s2")
@@ -193,7 +194,8 @@ def preset_spec(name: str, order: int) -> ProblemSpec:
         try:
             surface = model_from_name("sigma:" + name[len("lsigma:"):])
         except UnsupportedModel:
-            raise ValueError(f"genus must be a nonnegative integer: {name!r}") from None
+            raise ValueError(
+                f"genus must be a nonnegative integer: {shorten(repr(name))}") from None
     else:
-        raise ValueError(f"unknown preset {name!r}")
+        raise ValueError(f"unknown preset {shorten(repr(name))}")
     return _loop_spec(surface, EquivariantBundle.trivial(surface), order)

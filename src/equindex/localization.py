@@ -22,7 +22,7 @@ from typing import Iterable, Sequence, Union
 
 from .charclasses import RootBundle, VirtualBundle, merge_by_weight, todd_numerators
 from .cohomology import CohClass, CohRing, ManifoldModel
-from .series import QQ, FrozenRecord, QSeries
+from .series import QQ, QSeries, Record
 
 LOOP = "loop"  # marker for the loop-space normal family
 MAX_KERNEL_WORK = 10**8  # estimated integer steps of one kernel call; see _check_work
@@ -32,7 +32,7 @@ class WeightError(ValueError):
     """A normal-direction rotation weight that is not a positive integer."""
 
 
-class NormalDecomposition(FrozenRecord):
+class NormalDecomposition(Record):
     """Weighted summands of the normal data: ((weight, bundle), ...).
 
     Construction merges repeated weights by direct sum, sorts by weight,
@@ -101,12 +101,11 @@ def fixed_point_integral(tangent: RootBundle, normal: Union[NormalDecomposition,
     columns = [(j, column) for j, column in enumerate(kernel(source, scale, size, length))
                if any(column)]
     # y^k/k! = x^k/(k! D^k) integrates against td, whose x^n coefficient is E_n/(n! c^n),
-    # to N E_(m-k)/((m-k)! c^(m-k) k! D^k) = W_k/total; w and common are in lowest terms
+    # to E_(m-k)/((m-k)! c^(m-k) k! D^k) = W_k/total; w and common are in lowest terms
     c, todd = todd_numerators(tangent)
-    m, normalization = model.top_index, model.integral_normalization
-    total = math.factorial(m) * (c * scale)**m * normalization.denominator
-    functional = [normalization.numerator * math.comb(m, k) * todd[m - k] * c**k * scale**(m - k)
-                  for k in range(size)]
+    m = model.top_index
+    total = math.factorial(m) * (c * scale)**m
+    functional = [math.comb(m, k) * todd[m - k] * c**k * scale**(m - k) for k in range(size)]
     divisor = math.gcd(total, *functional)
     common = total // divisor
     w = [sign * (v // divisor) for v in functional]

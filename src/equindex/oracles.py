@@ -23,16 +23,16 @@ from typing import Sequence
 from .charclasses import RootBundle, VirtualBundle
 from .cohomology import CohClass, CohRing, ManifoldModel, unit_class
 from .localization import NormalDecomposition
-from .series import FrozenRecord, NotInvertible, QSeries, ZZ, as_fraction
+from .series import NotInvertible, QSeries, Record, ZZ, as_fraction
 
 
-class PartitionTable(FrozenRecord):
-    """Partition counts p(0..limit), computed once and reused."""
+class PartitionTable(Record):
+    """Partition counts p(0), p(1), ..., computed once and reused."""
 
-    _fields = ("limit", "values")
+    _fields = ("values",)
 
-    def __init__(self, limit: int, values: tuple[int, ...]):
-        self._set_fields(limit, values)
+    def __init__(self, values: tuple[int, ...]):
+        self._set_fields(values)
 
     def __getitem__(self, n: int) -> int:
         return self.values[n]
@@ -58,7 +58,7 @@ def partition_numbers(limit: int) -> PartitionTable:
     for part in range(1, limit + 1):
         for n in range(part, limit + 1):
             counts[n] += counts[n - part]
-    return PartitionTable(limit, tuple(counts))
+    return PartitionTable(tuple(counts))
 
 
 def naive_inverse(series: QSeries, order: int) -> QSeries:

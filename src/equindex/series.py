@@ -27,12 +27,17 @@ class NotInvertible(ArithmeticError):
 class Record:
     """Value semantics for the package's records, whose fields ``_fields`` names.
 
-    Two records are equal when they are of the same class and their fields
-    are equal; ``repr`` lists the fields as ``Name(field=value, ...)``.
-    A record whose fields may be reassigned is unhashable.
+    ``__init__`` sets the fields once, through ``_set_fields``; assigning or
+    deleting one afterwards raises.  Two records are equal when they are of
+    the same class and their fields are equal, and equal records hash alike;
+    ``repr`` lists the fields as ``Name(field=value, ...)``.
     """
 
     _fields: tuple[str, ...] = ()
+
+    def _set_fields(self, *values: Any) -> None:
+        """Set the fields ``_fields`` names, in that order; ``__init__`` calls this once."""
+        self.__dict__.update(zip(self._fields, values, strict=True))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -44,21 +49,6 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{self.__class__.__qualname__}({fields})"
-
-
-class FrozenRecord(Record):
-    """A record whose fields are set once, by ``__init__``, and hashed."""
-
-    def _set_fields(self, *values: Any) -> None:
-        """Set the fields ``_fields`` names, in that order; ``__init__`` calls this once."""
-        for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
-
     def __hash__(self) -> int:
         return hash(self._values())
 
@@ -67,6 +57,10 @@ class FrozenRecord(Record):
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 class CoefficientRing:
@@ -205,10 +199,8 @@ class QSeries(Record):
             start += 1
         while end > start and not window[end - 1]:
             end -= 1
-        self.ring = ring
-        self.lowest = lowest + start if start < end else 0
-        self.coeffs = tuple(window[start:end])
-        self.order = order
+        self._set_fields(ring, lowest + start if start < end else 0,
+                         tuple(window[start:end]), order)
 
     @classmethod
     def _trusted(cls, ring: CoefficientRing, lowest: int, window: Any, order: int) -> "QSeries":

@@ -150,6 +150,8 @@ def test_todd_class_is_multiplicative():
 def test_todd_class_needs_a_genuine_bundle():
     with pytest.raises(VirtualBundle):
         todd_class(RootBundle(S2, (2,), (0,)))
+    with pytest.raises(VirtualBundle):
+        todd_product(RootBundle(S2, (2,), (0,)))
 
 
 def test_lambda_factor_of_a_trivial_line():

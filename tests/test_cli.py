@@ -149,6 +149,7 @@ def test_schema_violations_exit_one(tmp_path):
         ("not json at all", "invalid JSON"),
         (json.dumps({"manifold": "s2"}), "missing required field"),
         (json.dumps({**LS2_DOC, "extra": 1}), "unexpected field"),
+        (json.dumps({**LS2_DOC, "a\nb\nc": 1}), "$: unexpected field 'a\\nb\\nc'"),
         (json.dumps({**LS2_DOC, "manifold": "torus"}), "manifold"),
         (json.dumps({**LS2_DOC, "tangent": {"plus": [0.5]}}), "floats are inexact"),
         (json.dumps({**LS2_DOC, "tangent": {"plus": ["x"]}}), "not a rational"),
@@ -292,10 +293,11 @@ def test_parse_problem_defaults_and_equivalence():
 
 
 def test_bad_preset_exits_one():
-    for bad in ("waffles", "cplane:0", "lsigma:-2"):
+    for bad in ("waffles", "cplane:0", "lsigma:-2", "cplane:" + "x" * 2000):
         result = run_cli("--preset", bad)
         assert result.returncode == 1
         assert "equindex:" in result.stderr
+        assert result.stderr.count("\n") == 1 and len(result.stderr.encode()) < 300
 
 
 def test_missing_input_file_exits_two(tmp_path):
@@ -383,9 +385,16 @@ def test_module_run_meets_no_import_warning():
     assert (result.returncode, result.stdout, result.stderr) == (0, "1 + 2q + 5q^2 + 10q^3\n", "")
 
 
-def test_negative_order_flag_is_rejected():
-    result = run_cli("--preset", "ls2", "--order", "-1")
-    assert result.returncode == 1
+def test_negative_order_flag_is_rejected(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(LS2_DOC))
+    for args in (("--preset", "ls2", "--order", "-1"), ("--preset", "cplane:-3", "--order", "-1"),
+                 ("--preset", "lsigma:2", "--order", "-1"),
+                 ("--input", str(path), "--order", "-2")):
+        result = run_cli(*args)
+        assert result.returncode == 1
+        assert result.stderr == ("equindex: truncation order must be a nonnegative integer, "
+                                 f"got {args[-1]}\n")
 
 
 def test_oversized_orders_exit_one():

@@ -10,6 +10,7 @@ import pytest
 from equindex import (
     CohClass,
     CohRing,
+    ManifoldModel,
     NotInvertible,
     QQ,
     UnsupportedModel,
@@ -24,17 +25,15 @@ from support import random_coh_class
 
 def test_model_presets():
     point = model_from_name("point")
-    assert (point.top_index, point.integral_normalization, point.real_dimension) == (
-        0,
-        1,
-        0,
-    )
+    assert (point.top_index, point.genus) == (0, None)
     s2 = model_from_name("s2")
-    assert (s2.top_index, s2.integral_normalization, s2.real_dimension) == (1, 1, 2)
+    assert (s2.top_index, s2.genus) == (1, 0)
     sigma = model_from_name("sigma:5")
-    assert (sigma.top_index, sigma.real_dimension) == (1, 2)
+    assert (sigma.top_index, sigma.genus) == (1, 5)
     cp3 = model_from_name("cpn:3")
-    assert (cp3.top_index, cp3.real_dimension) == (3, 6)
+    assert (cp3.top_index, cp3.genus) == (3, None)
+    with pytest.raises(ValueError, match="top cohomology index must be nonnegative"):
+        ManifoldModel("bad", -1)
 
 
 def test_model_names_are_validated():
@@ -91,6 +90,8 @@ def test_length_mismatch_is_rejected():
         CohClass((1, 2)) + CohClass((1, 2, 3))
     with pytest.raises(ValueError):
         CohClass((1, 2)) * CohClass((1, 2, 3))
+    with pytest.raises(TypeError):
+        CohClass((1,)) + 1
 
 
 def test_integration_reads_the_top_coefficient():

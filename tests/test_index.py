@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from equindex import (
     LOOP,
+    CohClass,
     CohRing,
     DifferenceLine,
     EquivariantBundle,
-    ManifoldModel,
     ModelMismatch,
     NormalDecomposition,
     ProblemSpec,
@@ -125,6 +125,8 @@ def test_deep_loop_presets_match_the_partition_convolution():
 def test_plane_rejects_weight_zero():
     with pytest.raises(ValueError):
         cplane_spec(0, (1,), 4)
+    with pytest.raises(ValueError, match="F-multiplicities must be integers"):
+        cplane_spec(1, (1, 0.5), 4)
 
 
 # -- loop spaces ---------------------------------------------------------
@@ -181,29 +183,6 @@ def test_loop_sphere_with_tangent_coefficients():
     assert out.coefficient(0) == 0
     for n in range(1, order + 1):
         assert out.coefficient(n) == 3 * table.convolution(n - 1)
-
-
-def test_the_index_scales_with_the_integral_of_the_model():
-    # the cohomology of s2 with three times its fundamental class: every integral triples
-    tripled = ManifoldModel("s2x3", 1, Fraction(3), 2, genus=0)
-
-    def problem(model, normal):
-        F = EquivariantBundle(model, (
-            (-1, RootBundle(model, (Fraction(1, 2),), (-1,))),
-            (2, RootBundle(model, (3, 0))),
-        ))
-        return ProblemSpec(model=model, tangent=RootBundle(model, (2,)), normal=normal(model),
-                           F=F, L=DifferenceLine(-1, 1), order=12)
-
-    def explicit(model):
-        return NormalDecomposition(
-            model, ((1, RootBundle(model, (1, -2))), (3, RootBundle(model, (Fraction(1, 2),))))
-        )
-
-    for normal in (lambda model: LOOP, explicit):
-        once = localized_index(problem(S2, normal))
-        assert not once.is_zero
-        assert localized_index(problem(tripled, normal)) == once.scale(3)
 
 
 def test_loop_space_index_needs_a_surface():
@@ -347,6 +326,10 @@ def test_problem_spec_validates_the_rest():
         ProblemSpec(**{**good, "tangent": RootBundle(S2, (2,), (0,))})
     with pytest.raises(ValueError):
         ProblemSpec(**{**good, "normal": "everywhere"})
+    with pytest.raises(ValueError, match="normal must be a NormalDecomposition"):
+        ProblemSpec(**{**good, "normal": 5})
+    with pytest.raises(ValueError, match="F-weight must be an integer"):
+        EquivariantBundle(S2, (("0", RootBundle(S2, (0,))),))
     with pytest.raises(ValueError):
         ProblemSpec(**{**good, "order": -1})
     with pytest.raises(ValueError):
@@ -456,6 +439,26 @@ def test_every_coefficient_is_built_as_a_fraction():
         rebuilt = QSeries(QQ, out.lowest, out.coeffs, out.order)
         assert repr(out) == repr(rebuilt), spec
     assert any(c.denominator > 1 for c in out.coeffs)  # the document needs a common denominator
+
+
+def test_the_solve_builds_no_cohomology_class(monkeypatch):
+    # the kernels and the fold work on integer columns: CohClass serves the
+    # library's API and the oracles, and no solve builds one
+    specs = [preset_spec("ls2", 30), preset_spec("cplane:-3", 50),
+             parse_problem(json.dumps(CPN_DOCUMENT))]
+    calls = []
+    build = CohClass.__init__
+
+    def counted(self, coeffs):
+        calls.append(coeffs)
+        build(self, coeffs)
+
+    monkeypatch.setattr(CohClass, "__init__", counted)
+    CohClass((1,))  # the count sees a class built outside the solve
+    assert len(calls) == 1
+    for spec in specs:
+        localized_index(spec)
+    assert len(calls) == 1
 
 
 def _product_route(spec: ProblemSpec) -> QSeries:

@@ -27,7 +27,7 @@ from equindex import (
     naive_inverse,
     partition_numbers,
 )
-from equindex.series import render_terms
+from equindex.series import as_fraction, render_terms
 from support import (
     assert_is_one,
     assert_same_series,
@@ -71,11 +71,16 @@ def test_mixed_rings_are_rejected():
 def test_integer_ring_rejects_fractions():
     with pytest.raises(ValueError):
         QSeries(ZZ, 0, (Fraction(1, 2),), 4)
+    with pytest.raises(ValueError, match="booleans"):
+        ZZ.coerce(True)
+    assert ZZ.coerce("7") == 7 and ZZ.coerce(Fraction(4, 2)) == 2
 
 
 def test_rational_ring_rejects_floats():
     with pytest.raises(ValueError):
         QSeries(QQ, 0, (0.5,), 4)
+    with pytest.raises(ValueError, match="got a boolean"):
+        as_fraction(True)
 
 
 def test_a_decimal_exponent_past_the_digit_limit_is_refused():
@@ -126,6 +131,8 @@ def test_power():
     base = QSeries(ZZ, 0, (1, 1), 6)
     assert base**0 == QSeries.one(ZZ, 6)
     assert base**3 == QSeries(ZZ, 0, (1, 3, 3, 1), 6)
+    with pytest.raises(ValueError, match="nonnegative integer powers"):
+        base**-1
 
 
 def test_ring_axioms_randomized():
@@ -397,14 +404,8 @@ def test_json_of_zero_series():
 
 S2 = model_from_name("s2")
 POINT = model_from_name("point")
-S2_TEXT = (
-    "ManifoldModel(name='s2', top_index=1, integral_normalization=Fraction(1, 1), "
-    "real_dimension=2, genus=0)"
-)
-POINT_TEXT = (
-    "ManifoldModel(name='point', top_index=0, integral_normalization=Fraction(1, 1), "
-    "real_dimension=0, genus=None)"
-)
+S2_TEXT = "ManifoldModel(name='s2', top_index=1, genus=0)"
+POINT_TEXT = "ManifoldModel(name='point', top_index=0, genus=None)"
 
 
 def _point_problem(order: int) -> ProblemSpec:
@@ -414,24 +415,23 @@ def _point_problem(order: int) -> ProblemSpec:
     )
 
 
-# build, a different value of the same class, a field, whether fields are
-# frozen, the type a hash refuses (None: the record hashes), and the repr
+# build, a different value of the same class, a field, and the repr
 RECORDS = [
     pytest.param(
         lambda: QSeries(QQ, -1, (1, "1/2"), 3), QSeries(QQ, -1, (1, "1/2"), 4),
-        "order", False, "QSeries",
+        "order",
         "QSeries(ring=QQ, lowest=-1, coeffs=(Fraction(1, 1), Fraction(1, 2)), order=3)",
         id="QSeries",
     ),
     pytest.param(
         lambda: CohClass((1, "-2/3")), CohClass((1, "2/3")),
-        "coeffs", False, "CohClass",
+        "coeffs",
         "CohClass(coeffs=(Fraction(1, 1), Fraction(-2, 3)))",
         id="CohClass",
     ),
     pytest.param(
         lambda: RootBundle(S2, (2, "1/2"), ("-1/3",)), RootBundle(S2, (2, "1/2")),
-        "plus_roots", True, None,
+        "plus_roots",
         f"RootBundle(model={S2_TEXT}, plus_roots=(Fraction(1, 2), Fraction(2, 1)), "
         "minus_roots=(Fraction(-1, 3),))",
         id="RootBundle",
@@ -439,7 +439,7 @@ RECORDS = [
     pytest.param(
         lambda: NormalDecomposition(S2, ((2, RootBundle(S2, (1,))),)),
         NormalDecomposition(S2, ((3, RootBundle(S2, (1,))),)),
-        "components", True, None,
+        "components",
         f"NormalDecomposition(model={S2_TEXT}, components=((2, RootBundle(model={S2_TEXT}, "
         "plus_roots=(Fraction(1, 1),), minus_roots=())),))",
         id="NormalDecomposition",
@@ -447,33 +447,32 @@ RECORDS = [
     pytest.param(
         lambda: EquivariantBundle(S2, ((-1, RootBundle(S2, (0,))),)),
         EquivariantBundle.trivial(S2),
-        "terms", True, None,
+        "terms",
         f"EquivariantBundle(model={S2_TEXT}, terms=((-1, RootBundle(model={S2_TEXT}, "
         "plus_roots=(Fraction(0, 1),), minus_roots=())),))",
         id="EquivariantBundle",
     ),
     pytest.param(
-        lambda: ManifoldModel("sigma:2", 1, 1, 2, genus=2), model_from_name("sigma:3"),
-        "genus", True, None,
-        "ManifoldModel(name='sigma:2', top_index=1, integral_normalization=Fraction(1, 1), "
-        "real_dimension=2, genus=2)",
+        lambda: ManifoldModel("sigma:2", 1, genus=2), model_from_name("sigma:3"),
+        "genus",
+        "ManifoldModel(name='sigma:2', top_index=1, genus=2)",
         id="ManifoldModel",
     ),
     pytest.param(
         lambda: CohRing(S2), CohRing(model_from_name("cpn:2")),
-        "model", True, None,
+        "model",
         f"CohRing(model={S2_TEXT})",
         id="CohRing",
     ),
     pytest.param(
         DifferenceLine, DifferenceLine(-1, 2),
-        "weight", True, None,
+        "weight",
         "DifferenceLine(sign=1, weight=0)",
         id="DifferenceLine",
     ),
     pytest.param(
         lambda: _point_problem(3), _point_problem(4),
-        "order", True, None,
+        "order",
         f"ProblemSpec(model={POINT_TEXT}, tangent=RootBundle(model={POINT_TEXT}, "
         f"plus_roots=(), minus_roots=()), normal=NormalDecomposition(model={POINT_TEXT}, "
         f"components=()), F=EquivariantBundle(model={POINT_TEXT}, terms=()), "
@@ -482,29 +481,24 @@ RECORDS = [
     ),
     pytest.param(
         lambda: partition_numbers(3), partition_numbers(4),
-        "values", True, None,
-        "PartitionTable(limit=3, values=(1, 1, 2, 3))",
+        "values",
+        "PartitionTable(values=(1, 1, 2, 3))",
         id="PartitionTable",
     ),
 ]
 
 
-@pytest.mark.parametrize("build, other, field, frozen, unhashable, text", RECORDS)
-def test_records_compare_hash_and_print_by_value(build, other, field, frozen, unhashable, text):
+@pytest.mark.parametrize("build, other, field, text", RECORDS)
+def test_records_compare_hash_and_print_by_value(build, other, field, text):
     record = build()
     assert repr(record) == text
     assert record == build() and not record != build()
     assert record != other and not record == other
     assert record.__eq__(0) is NotImplemented
     assert (record == 0) is False
-    if unhashable is None:
-        assert hash(record) == hash(build())
-    else:
-        with pytest.raises(TypeError, match=f"unhashable type: '{unhashable}'"):
-            hash(record)
-    if frozen:
-        with pytest.raises(AttributeError):
-            setattr(record, field, getattr(other, field))
-        with pytest.raises(AttributeError):
-            delattr(record, field)
-        assert repr(record) == text
+    assert hash(record) == hash(build())
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(other, field))
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert repr(record) == text
