@@ -15,6 +15,7 @@ from .series import (
     QQ,
     QSeries,
     RationalRing,
+    SchemaError,
     ZZ,
     render_series,
 )
@@ -66,7 +67,7 @@ __all__ = [
     # oracles
     "PartitionTable", "partition_numbers", "naive_inverse",
     "direct_cplane_index",
-    # cli
+    # the schema error (loaded with the package) and the JSON front end
     "SchemaError", "parse_problem",
     "__version__",
 ]
@@ -75,7 +76,7 @@ __all__ = [
 # names loaded on first use (PEP 562), by submodule: no solve needs the oracles,
 # and `import equindex` alone does not need the command line
 _SUBMODULES = {
-    **dict.fromkeys(("cli", "SchemaError", "parse_problem"), "cli"),
+    **dict.fromkeys(("cli", "parse_problem"), "cli"),
     **dict.fromkeys((
         "PartitionTable", "partition_numbers", "naive_inverse", "direct_cplane_index",
         "exponential_class", "chern_character", "lambda_minus_t_factor",

@@ -1,7 +1,14 @@
 """Command line front end: evaluate index problems from JSON or presets.
 
+``parse_problem`` checks only what the records cannot know: that the text is
+JSON, that objects and arrays sit where the schema puts them with no
+unknown, repeated or missing field, the manifold name and the roots.  It
+passes every other value (weights, the difference line, the order) to the
+records as it is, and their refusals name the same JSON paths.
+
 Exit status: 0 on success, 1 for problems with the input itself (schema,
-weights, models) or a result too long to write as text, 2 for I/O failures.
+weights, models, a problem past the cost bounds) or a result too long to
+write as text, 2 for I/O failures and usage errors.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from typing import TYPE_CHECKING, Any
 from .charclasses import RootBundle
 from .cohomology import ManifoldModel, UnsupportedModel, model_from_name
 from .index import (
+    DEFAULT_ORDER,
     LOOP,
     DifferenceLine,
     EquivariantBundle,
@@ -20,22 +28,11 @@ from .index import (
     localized_index,
     preset_spec,
 )
-from .localization import NormalDecomposition, WeightError
-from .series import as_fraction, render_series, shorten
+from .localization import NormalDecomposition
+from .series import SchemaError, as_fraction, render_series, shorten
 
 if TYPE_CHECKING:
     import argparse
-
-DEFAULT_ORDER = 10
-
-
-class SchemaError(ValueError):
-    """A problem document that does not match the input schema."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
-
 
 _REPEATED = object()  # key under which _unique_keys marks a repeated field
 
@@ -51,12 +48,6 @@ def _expect_object(value: Any, path: str, allowed: set[str], required: set[str])
     for key in required:
         if key not in value:
             raise SchemaError(path, f"missing required field {key!r}")
-    return value
-
-
-def _integer(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected an integer, got {shorten(repr(value))}")
     return value
 
 
@@ -86,19 +77,27 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
-def _bundle(value: Any, path: str, model: ManifoldModel, *, allow_minus: bool = True,
-            extra_keys: set[str] = frozenset()) -> tuple[dict, RootBundle]:
-    allowed = {"plus", "minus"} | set(extra_keys)
-    obj = _expect_object(value, path, allowed, set(extra_keys))
+def _bundle(value: Any, path: str, model: ManifoldModel,
+            extra_keys: frozenset[str] = frozenset()) -> tuple[dict, RootBundle]:
+    obj = _expect_object(value, path, {"plus", "minus"} | extra_keys, extra_keys)
     plus = _root_list(obj.get("plus", []), f"{path}.plus")
     minus = _root_list(obj.get("minus", []), f"{path}.minus")
-    if minus and not allow_minus:
-        raise SchemaError(f"{path}.minus", "must be empty here")
     return obj, RootBundle(model, plus, minus)
 
 
+def _weighted_bundles(value: Any, path: str, model: ManifoldModel) -> list[tuple[Any, RootBundle]]:
+    """The (weight, bundle) summands of an array, each weight as the document gives it."""
+    if not isinstance(value, list):
+        raise SchemaError(path, "expected an array of weighted bundles")
+    summands = []
+    for i, entry in enumerate(value):
+        obj, bundle = _bundle(entry, f"{path}[{i}]", model, frozenset({"weight"}))
+        summands.append((obj["weight"], bundle))
+    return summands
+
+
 def parse_problem(text: str) -> ProblemSpec:
-    """Parse and validate a JSON problem document into a ProblemSpec."""
+    """Parse a JSON problem document into a ProblemSpec, which validates its values."""
     import json
 
     try:
@@ -121,62 +120,34 @@ def parse_problem(text: str) -> ProblemSpec:
     except UnsupportedModel as exc:
         raise SchemaError("manifold", str(exc)) from None
 
-    _, tangent = _bundle(top["tangent"], "tangent", model, allow_minus=False)
+    _, tangent = _bundle(top["tangent"], "tangent", model)
 
-    normal_value = top["normal"]
-    if normal_value == LOOP:
-        normal: Any = LOOP
-    elif isinstance(normal_value, list):
-        components = []
-        for i, entry in enumerate(normal_value):
-            path = f"normal[{i}]"
-            obj, bundle = _bundle(entry, path, model, allow_minus=False,
-                                  extra_keys={"weight"})
-            weight = _integer(obj["weight"], f"{path}.weight")
-            if weight < 1:
-                raise WeightError(
-                    f"{path}.weight: normal weight must be a positive integer, got {weight}"
-                )
-            components.append((weight, bundle))
-        normal = NormalDecomposition(model, components)
-    else:
+    normal = top["normal"]
+    if isinstance(normal, list):
+        normal = NormalDecomposition(model, _weighted_bundles(normal, "normal", model))
+    elif normal != LOOP:
         raise SchemaError("normal", 'expected "loop" or an array of weighted bundles')
 
-    f_value = top["F"]
-    if not isinstance(f_value, list):
-        raise SchemaError("F", "expected an array of weighted bundles")
-    f_terms = []
-    for i, entry in enumerate(f_value):
-        path = f"F[{i}]"
-        obj, bundle = _bundle(entry, path, model, extra_keys={"weight"})
-        f_terms.append((_integer(obj["weight"], f"{path}.weight"), bundle))
+    F = EquivariantBundle(model, _weighted_bundles(top["F"], "F", model))
 
     line = DifferenceLine()
     if "L" in top:
-        obj = _expect_object(top["L"], "L", {"sign", "weight"}, {"sign", "weight"})
-        sign = _integer(obj["sign"], "L.sign")
-        if sign not in (1, -1):
-            raise SchemaError("L.sign", f"must be 1 or -1, got {sign}")
-        line = DifferenceLine(sign, _integer(obj["weight"], "L.weight"))
+        fields = {"sign", "weight"}
+        line = DifferenceLine(**_expect_object(top["L"], "L", fields, fields))
 
-    order = DEFAULT_ORDER
-    if "order" in top:
-        order = _integer(top["order"], "order")
-        if order < 0:
-            raise SchemaError("order", f"must be nonnegative, got {order}")
-
-    return ProblemSpec(
-        model=model,
-        tangent=tangent,
-        normal=normal,
-        F=EquivariantBundle(model, f_terms),
-        L=line,
-        order=order,
-    )
+    return ProblemSpec(model=model, tangent=tangent, normal=normal, F=F, L=line,
+                       order=top.get("order", DEFAULT_ORDER))
 
 
 def _build_parser() -> argparse.ArgumentParser:
     import argparse
+
+    def order(text: str) -> int:
+        """int(text), with a refusal that quotes a bad value cut short, as argparse's does not."""
+        try:
+            return int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {shorten(repr(text))}") from None
 
     parser = argparse.ArgumentParser(
         prog="equindex",
@@ -191,13 +162,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--order",
-        type=int,
-        default=None,
+        type=order,
         metavar="N",
         help="truncation order (default: the document's, else 10)",
     )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
+    parser.add_argument(  # argparse quotes a bad choice as type=shorten left it, cut short
+        "--format", choices=("text", "json"), type=shorten, default="text", help="output format"
     )
     parser.add_argument("--output", metavar="FILE", help="write here instead of stdout")
     return parser
@@ -214,7 +184,8 @@ def run(argv: list[str] | None = None) -> int:
                 with open(args.input, "r", encoding="utf-8") as handle:
                     text = handle.read()
             except OSError as exc:
-                print(f"equindex: cannot read {args.input}: {exc}", file=sys.stderr)
+                print(f"equindex: cannot read {shorten(repr(args.input))}: {exc.strerror}",
+                      file=sys.stderr)
                 return 2
             spec = parse_problem(text)
             if args.order is not None:
@@ -241,7 +212,8 @@ def run(argv: list[str] | None = None) -> int:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(rendered + "\n")
         except OSError as exc:
-            print(f"equindex: cannot write {args.output}: {exc}", file=sys.stderr)
+            print(f"equindex: cannot write {shorten(repr(args.output))}: {exc.strerror}",
+                  file=sys.stderr)
             return 2
     else:
         print(rendered)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, Union
 from .charclasses import RootBundle, VirtualBundle, merge_by_weight
 from .cohomology import ManifoldModel, ModelMismatch, UnsupportedModel, model_from_name
 from .localization import LOOP, NormalDecomposition, fixed_point_integral
-from .series import QSeries, Record, shorten
+from .series import QSeries, Record, SchemaError, shorten
 
 
 class DifferenceLine(Record):
@@ -27,10 +27,10 @@ class DifferenceLine(Record):
     _fields = ("sign", "weight")
 
     def __init__(self, sign: int = 1, weight: int = 0):
-        if isinstance(sign, bool) or sign not in (1, -1):
-            raise ValueError(f"difference line sign must be +1 or -1, got {sign!r}")
-        if not isinstance(weight, int) or isinstance(weight, bool):
-            raise ValueError(f"difference line weight must be an integer, got {weight!r}")
+        if type(sign) is not int or sign not in (1, -1):
+            raise SchemaError("L.sign", f"must be 1 or -1, got {shorten(repr(sign))}")
+        if type(weight) is not int:
+            raise SchemaError("L.weight", f"expected an integer, got {shorten(repr(weight))}")
         self._set_fields(sign, weight)
 
 
@@ -49,15 +49,19 @@ class EquivariantBundle(Record):
         self, model: ManifoldModel, terms: Iterable[tuple[int, RootBundle]] = ()
     ):
         terms = tuple(terms)
-        for weight, _ in terms:
-            if not isinstance(weight, int) or isinstance(weight, bool):
-                raise ValueError(f"F-weight must be an integer, got {weight!r}")
+        for i, (weight, _) in enumerate(terms):
+            if type(weight) is not int:
+                raise SchemaError(f"F[{i}].weight",
+                                  f"expected an integer, got {shorten(repr(weight))}")
         self._set_fields(model, merge_by_weight(model, terms, "coefficient bundle"))
 
     @classmethod
     def trivial(cls, model: ManifoldModel) -> "EquivariantBundle":
         """A single trivial line at weight zero."""
         return cls(model, ((0, RootBundle(model, (0,))),))
+
+
+DEFAULT_ORDER = 10  # the truncation order of a problem that names none
 
 
 class ProblemSpec(Record):
@@ -72,24 +76,23 @@ class ProblemSpec(Record):
         normal: Union[NormalDecomposition, str],
         F: EquivariantBundle,
         L: DifferenceLine = DifferenceLine(),
-        order: int = 10,
+        order: int = DEFAULT_ORDER,
     ):
         if tangent.model != model:
             raise ModelMismatch("tangent bundle lives on a different model")
         if not tangent.is_genuine:
-            raise VirtualBundle("the tangent bundle must be genuine (no minus roots)")
-        if isinstance(normal, str):
-            if normal != LOOP:
-                raise ValueError(f"unknown normal marker {normal!r}")
-        elif isinstance(normal, NormalDecomposition):
+            raise VirtualBundle("tangent.minus: must be empty (the tangent bundle is genuine)")
+        if isinstance(normal, NormalDecomposition):
             if normal.model != model:
                 raise ModelMismatch("normal data lives on a different model")
-        else:
-            raise ValueError("normal must be a NormalDecomposition or the loop marker")
+        elif normal != LOOP:
+            raise SchemaError("normal", f"must be a NormalDecomposition or {LOOP!r}, "
+                                        f"got {shorten(repr(normal))}")
         if F.model != model:
             raise ModelMismatch("coefficient bundle lives on a different model")
-        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-            raise ValueError(f"truncation order must be a nonnegative integer, got {order!r}")
+        if type(order) is not int or order < 0:
+            raise SchemaError("order",
+                              f"must be a nonnegative integer, got {shorten(repr(order))}")
         self._set_fields(model, tangent, normal, F, L, order)
 
 

@@ -22,10 +22,11 @@ from typing import Iterable, Sequence, Union
 
 from .charclasses import RootBundle, VirtualBundle, merge_by_weight, todd_numerators
 from .cohomology import CohClass, CohRing, ManifoldModel
-from .series import QQ, QSeries, Record
+from .series import QQ, QSeries, Record, shorten
 
 LOOP = "loop"  # marker for the loop-space normal family
 MAX_KERNEL_WORK = 10**8  # estimated integer steps of one kernel call; see _check_work
+MAX_TOP_INDEX = 100  # largest dimension m a solve takes: the Todd class's integers grow with m
 
 
 class WeightError(ValueError):
@@ -47,15 +48,12 @@ class NormalDecomposition(Record):
         self, model: ManifoldModel, components: Iterable[tuple[int, RootBundle]] = ()
     ):
         components = tuple(components)
-        for weight, bundle in components:
-            if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
+        for i, (weight, bundle) in enumerate(components):
+            if type(weight) is not int or weight < 1:
                 raise WeightError(
-                    f"normal weight must be a positive integer, got {weight!r}"
-                )
+                    f"normal[{i}].weight: must be a positive integer, got {shorten(repr(weight))}")
             if not bundle.is_genuine:
-                raise VirtualBundle(
-                    "normal components must be genuine bundles (no minus roots)"
-                )
+                raise VirtualBundle(f"normal[{i}].minus: must be empty (the summands are genuine)")
         self._set_fields(model, merge_by_weight(model, components, "normal component"))
 
 
@@ -90,6 +88,9 @@ def fixed_point_integral(tangent: RootBundle, normal: Union[NormalDecomposition,
     are never formed.
     """
     model = tangent.model
+    if model.top_index > MAX_TOP_INDEX:  # before any power sum or Todd coefficient is built
+        raise ValueError(f"manifold: {shorten(repr(model.name))} has dimension past the bound "
+                         f"{MAX_TOP_INDEX}; its Todd class would take too long")
     size = model.top_index + 1
     if normal == LOOP:
         kernel, source, bundles = _loop_inverse, tangent, [tangent]

@@ -197,8 +197,6 @@ def loop_normal_decomposition(tangent: RootBundle, order: int) -> NormalDecompos
     tangent bundle, i.e. tangent plus its conjugate; weights above the
     truncation order are invisible modulo q^(order+1) and are omitted.
     """
-    if not tangent.is_genuine:
-        raise VirtualBundle("the tangent bundle must be genuine (no minus roots)")
     complexified = tangent.direct_sum(tangent.conjugate())
     return NormalDecomposition(
         tangent.model, ((k, complexified) for k in range(1, order + 1))

@@ -115,6 +115,14 @@ def shorten(text: str) -> str:
     return text if len(text) <= 60 else text[:60] + "..."
 
 
+class SchemaError(ValueError):
+    """A problem value that breaks the input schema, named by its JSON path."""
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        super().__init__(f"{path}: {message}")
+
+
 def as_fraction(value: Any) -> Fraction:
     """The one exact rational coercion: ints, Fractions and "p/q" strings.
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,17 +14,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equindex import (
+    LOOP,
     DifferenceLine,
+    EquivariantBundle,
     ModelMismatch,
+    NormalDecomposition,
     ProblemSpec,
     QQ,
     QSeries,
+    RootBundle,
     SchemaError,
     UnsupportedModel,
     VirtualBundle,
     WeightError,
     cplane_spec,
     localized_index,
+    model_from_name,
     parse_problem,
     preset_spec,
 )
@@ -158,11 +164,11 @@ def test_schema_violations_exit_one(tmp_path):
             json.dumps(
                 {**LS2_DOC, "normal": [{"weight": 1, "plus": [], "minus": [1]}]}
             ),
-            "must be empty",
+            "normal[0].minus: must be empty",
         ),
         (
             json.dumps({**LS2_DOC, "tangent": {"plus": [2], "minus": [1]}}),
-            "tangent.minus: must be empty here",
+            "tangent.minus: must be empty",
         ),
         (
             json.dumps({**LS2_DOC, "normal": [{"weight": 0, "plus": [0]}]}),
@@ -237,6 +243,66 @@ def test_schema_violations_exit_one(tmp_path):
             assert needle in result.stderr, (text, result.stderr)
         # one line, whatever the size of the input
         assert result.stderr.count("\n") == 1 and len(result.stderr.encode()) < 300, text[:80]
+
+
+S2 = model_from_name("s2")
+
+
+def _ls2_spec(**change) -> ProblemSpec:
+    return ProblemSpec(**{"model": S2, "tangent": RootBundle(S2, (2,)), "normal": LOOP,
+                          "F": EquivariantBundle.trivial(S2), **change})
+
+
+# each rule a record holds: the record built directly, and LS2_DOC changed to give
+# the parser the same value, which it must pass to that record unchecked
+RECORD_RULES = {
+    "normal[0].weight=0": (
+        lambda: NormalDecomposition(S2, ((0, RootBundle(S2, (0,))),)),
+        {"normal": [{"weight": 0, "plus": [0]}]}),
+    "normal[0].minus=[1]": (
+        lambda: NormalDecomposition(S2, ((1, RootBundle(S2, (), (1,))),)),
+        {"normal": [{"weight": 1, "minus": [1]}]}),
+    "tangent.minus=[1]": (
+        lambda: _ls2_spec(tangent=RootBundle(S2, (2,), (1,))),
+        {"tangent": {"plus": [2], "minus": [1]}}),
+    "F[0].weight=0.5": (
+        lambda: EquivariantBundle(S2, ((0.5, RootBundle(S2, (0,))),)),
+        {"F": [{"weight": 0.5, "plus": [0]}]}),
+    "L.sign=2": (lambda: DifferenceLine(2, 0), {"L": {"sign": 2, "weight": 0}}),
+    "L.weight='3'": (lambda: DifferenceLine(1, "3"), {"L": {"sign": 1, "weight": "3"}}),
+    "order=-3": (lambda: _ls2_spec(order=-3), {"order": -3}),
+    "order='many'": (lambda: _ls2_spec(order="many"), {"order": "many"}),
+}
+
+
+@pytest.mark.parametrize("rule", RECORD_RULES)
+def test_one_rule_one_message(rule):
+    build, change = RECORD_RULES[rule]
+    with pytest.raises(ValueError) as from_record:
+        build()
+    with pytest.raises(ValueError) as from_document:
+        parse_problem(json.dumps({**LS2_DOC, **change}))
+    assert str(from_document.value) == str(from_record.value)
+    assert type(from_document.value) is type(from_record.value)
+    assert str(from_record.value).startswith(rule.partition("=")[0] + ": ")
+
+
+def test_a_large_projective_space_exits_one_at_once(tmp_path):
+    # whatever the order, the Todd class of cpn:200 takes about 11 s and the power sums of
+    # the root 7 on cpn:50000 about 26 s: the dimension bound refuses before either starts
+    path = tmp_path / "large.json"
+    for n, root in ((101, 1), (1000, 1), (50_000, 7)):
+        path.write_text(json.dumps({
+            "manifold": f"cpn:{n}", "tangent": {"plus": [1]},
+            "normal": [{"weight": 1, "plus": [1]}], "F": [{"weight": 0, "plus": [root]}],
+            "order": 0,
+        }))
+        start = time.perf_counter()
+        result = run_cli("--input", str(path))
+        assert time.perf_counter() - start < 1, n
+        assert (result.returncode, result.stdout) == (1, ""), n
+        assert result.stderr.startswith(f"equindex: manifold: 'cpn:{n}' "), result.stderr
+        assert result.stderr.count("\n") == 1, result.stderr
 
 
 def test_a_result_too_long_for_text_exits_one(tmp_path):
@@ -314,6 +380,17 @@ def test_unwritable_output_exits_two(tmp_path):
     assert "cannot write" in result.stderr
 
 
+def test_flag_values_are_quoted_cut_short(tmp_path):
+    deep = "/".join(["d" * 99] * 5)  # 499 characters, no component past a name's limit
+    for args in (("--preset", "ls2", "--order", "9" * 5000),
+                 ("--preset", "ls2", "--format", "x" * 3000),
+                 ("--input", str(tmp_path / deep / "in.json")),
+                 ("--preset", "ls2", "--output", str(tmp_path / deep / "out.txt"))):
+        result = run_cli(*args)
+        assert result.returncode == 2, args[-1][:80]
+        assert len(result.stderr.encode()) < 400, result.stderr
+
+
 def test_source_flags_are_mutually_exclusive(tmp_path):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(LS2_DOC))
@@ -342,6 +419,7 @@ print(sorted(key for key, module in sys.modules.items()
              if key.split(".")[0] == "equindex" and moved & set(vars(module))))
 print("equindex.oracles" in sys.modules, equindex.partition_numbers(4).values)
 print(equindex.euler_class is equindex.oracles.euler_class)
+print(equindex.SchemaError is equindex.cli.SchemaError)
 """
 
 PUBLIC_NAMES = (
@@ -369,6 +447,7 @@ def test_import_loads_json_only_for_json_output():
         "[]",
         "False (1, 1, 2, 3, 5)",
         "True",
+        "True",
     ]
 
 
@@ -393,7 +472,7 @@ def test_negative_order_flag_is_rejected(tmp_path):
                  ("--input", str(path), "--order", "-2")):
         result = run_cli(*args)
         assert result.returncode == 1
-        assert result.stderr == ("equindex: truncation order must be a nonnegative integer, "
+        assert result.stderr == ("equindex: order: must be a nonnegative integer, "
                                  f"got {args[-1]}\n")
 
 

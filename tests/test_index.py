@@ -326,9 +326,9 @@ def test_problem_spec_validates_the_rest():
         ProblemSpec(**{**good, "tangent": RootBundle(S2, (2,), (0,))})
     with pytest.raises(ValueError):
         ProblemSpec(**{**good, "normal": "everywhere"})
-    with pytest.raises(ValueError, match="normal must be a NormalDecomposition"):
+    with pytest.raises(ValueError, match="normal: must be"):
         ProblemSpec(**{**good, "normal": 5})
-    with pytest.raises(ValueError, match="F-weight must be an integer"):
+    with pytest.raises(ValueError, match=r"F\[0\]\.weight"):
         EquivariantBundle(S2, (("0", RootBundle(S2, (0,))),))
     with pytest.raises(ValueError):
         ProblemSpec(**{**good, "order": -1})

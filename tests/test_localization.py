@@ -29,7 +29,12 @@ from equindex import (
     naive_inverse,
     partition_numbers,
 )
-from equindex.localization import MAX_KERNEL_WORK, _check_work, fixed_point_integral
+from equindex.localization import (
+    MAX_KERNEL_WORK,
+    MAX_TOP_INDEX,
+    _check_work,
+    fixed_point_integral,
+)
 from equindex.oracles import todd_product
 from support import assert_is_one, assert_same_series, random_decomposition
 
@@ -261,3 +266,16 @@ def test_the_kernel_work_bound():
     decomposition = NormalDecomposition(CP2, ((1, RootBundle(CP2, (1, 2))),))
     with pytest.raises(ValueError, match="^order: "):
         inverse_euler_class(decomposition, 10**15)
+
+
+def test_the_dimension_bound():
+    def solve(m: int):
+        model = model_from_name(f"cpn:{m}")
+        normal = NormalDecomposition(model, ((1, RootBundle(model, (1,))),))
+        F = ((0, RootBundle(model, (7,))),)
+        return fixed_point_integral(RootBundle(model, (1,)), normal, F, 0, 1)
+
+    # the bound itself is allowed; one more is refused before the Todd class is built
+    assert solve(MAX_TOP_INDEX).order == 0
+    with pytest.raises(ValueError, match=f"^manifold: 'cpn:{MAX_TOP_INDEX + 1}' "):
+        solve(MAX_TOP_INDEX + 1)
