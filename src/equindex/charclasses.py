@@ -2,10 +2,10 @@
 
 A bundle over a monogenic-cohomology manifold is given by two multisets
 of rational roots: a root r stands for a line summand with first Chern
-class r*x.  The Todd class is evaluated exactly in Q[x]/(x^(m+1)), over the
-integers from the roots' power sums; the localization kernels read the roots
-themselves, and the Chern character, the lambda factors and the per-root Todd
-product live in ``oracles`` as cross-checks.
+class r*x.  Everything runs over the integers at one scale D, the lcm of the
+root denominators (``common_scale``): ``power_sums`` reads a bundle as the
+coordinates P_k of ch in y = x/D, and td = exp(sum l_k P_k y^k).  The other
+routes to ch and td, and the lambda factors, are cross-checks in ``oracles``.
 """
 
 from __future__ import annotations
@@ -101,24 +101,34 @@ def _todd_logarithm(top_index: int) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(int(c * scale**k) for k, c in enumerate(logarithm, 1))
 
 
-def todd_numerators(bundle: RootBundle) -> tuple[int, list[int]]:
-    """Integers c and E_0..E_m with td(bundle) = sum E_n x^n / (n! c^n), from power sums.
+def common_scale(bundles: Iterable[RootBundle]) -> int:
+    """The scale D: the lcm of every root denominator in ``bundles``, so each rD is an integer."""
+    return math.lcm(*(r.denominator for b in bundles for r in b.plus_roots + b.minus_roots))
 
-    td = exp(sum l_k P_k x^k) for the power sums P_k of the roots.  With the steps s = re
-    for e the lcm of the root denominators, and c = L e, that is exp(sum G_k (x/c)^k) for
-    the integers G_k = L^k l_k sum s^k, so E_n = sum_(k=1..n) k (n-1)!/(n-k)! G_k E_(n-k).
+
+def power_sums(bundle: RootBundle, scale: int, size: int) -> list[int]:
+    """The integers P_k = sum (rD)^k over plus roots minus the same over minus roots, k < size.
+
+    In the divided-power basis y^k/k! of y = x/D these are the coordinates of ch(bundle).
     """
-    if not bundle.is_genuine:
-        raise VirtualBundle("the Todd class needs a genuine bundle (no minus roots)")
-    scale, logarithm = _todd_logarithm(bundle.model.top_index)
-    e = math.lcm(*(r.denominator for r in bundle.plus_roots))
-    steps = [r.numerator * (e // r.denominator) for r in bundle.plus_roots]
-    g = [0] + [c * sum(s**k for s in steps) for k, c in enumerate(logarithm, 1)]
+    plus = [r.numerator * (scale // r.denominator) for r in bundle.plus_roots]
+    minus = [r.numerator * (scale // r.denominator) for r in bundle.minus_roots]
+    return [sum(s**k for s in plus) - sum(s**k for s in minus) for k in range(size)]
+
+
+def todd_numerators(sums: Sequence[int]) -> tuple[int, list[int]]:
+    """L and E_0..E_m with td = sum E_n y^n / (n! L^n), from ``power_sums`` P_0..P_m in y = x/D.
+
+    td = exp(sum l_k P_k y^k), that is exp(sum G_k (y/L)^k) for the integers
+    G_k = L^k l_k P_k (0 at odd k > 1), so E_n = sum_(k=1..n) k (n-1)!/(n-k)! G_k E_(n-k).
+    """
+    lcm, logarithm = _todd_logarithm(len(sums) - 1)
+    g = [0] + [c * p for c, p in zip(logarithm, sums[1:])]
     numerators = [1]
     for n in range(1, len(g)):
         numerators.append(sum(k * math.perm(n - 1, k - 1) * g[k] * numerators[n - k]
-                              for k in range(1, n + 1)))
-    return scale * e, numerators
+                              for k in range(1, n + 1) if g[k]))
+    return lcm, numerators
 
 
 def todd_class(bundle: RootBundle) -> CohClass:
@@ -128,5 +138,9 @@ def todd_class(bundle: RootBundle) -> CohClass:
     >>> str(todd_class(RootBundle(model_from_name("cpn:4"), (1,))))
     '1 + 1/2x + 1/12x^2 - 1/720x^4'
     """
-    c, numerators = todd_numerators(bundle)
+    if not bundle.is_genuine:
+        raise VirtualBundle("the Todd class needs a genuine bundle (no minus roots)")
+    scale = common_scale([bundle])
+    lcm, numerators = todd_numerators(power_sums(bundle, scale, bundle.model.top_index + 1))
+    c = lcm * scale  # td = sum E_n x^n / (n! c^n), since y = x/D
     return CohClass([Fraction(v, math.factorial(n) * c**n) for n, v in enumerate(numerators)])

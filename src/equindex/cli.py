@@ -174,7 +174,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args, stray = parser.parse_known_args(argv)
+    if stray:  # parse_args would quote them whole
+        parser.error(f"unrecognized arguments: {shorten(' '.join(stray))}")
     try:
         if args.preset is not None:
             order = args.order if args.order is not None else DEFAULT_ORDER

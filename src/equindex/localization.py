@@ -7,9 +7,9 @@ forming that product: explicit normal data divides the unit class by each
 factor in turn, and the loop-space family, a copy of the complexified
 tangent bundle at every weight, runs a plethystic recurrence whose cost does
 not grow with the number of tangent roots.  The fixed-point integral is the
-one place where ch(F) and the Todd class meet either kernel's columns.  The
-product itself and the explicit loop decomposition live in ``oracles`` as
-cross-checks.
+one place where ch(F) and the Todd class meet either kernel's columns, read
+at one scale D through ``charclasses.power_sums``.  The product itself and
+the explicit loop decomposition live in ``oracles`` as cross-checks.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from fractions import Fraction
 from itertools import accumulate, count, repeat
 from typing import Iterable, Sequence, Union
 
-from .charclasses import RootBundle, VirtualBundle, merge_by_weight, todd_numerators
+from .charclasses import (RootBundle, VirtualBundle, common_scale, merge_by_weight, power_sums,
+                          todd_numerators)
 from .cohomology import CohClass, CohRing, ManifoldModel
 from .series import QQ, QSeries, Record, shorten
 
@@ -61,7 +62,7 @@ def inverse_euler_class(decomposition: NormalDecomposition, order: int) -> QSeri
     """Inverse of the Euler class modulo q^(order+1), from the division kernel."""
     model = decomposition.model
     size = model.top_index + 1
-    scale, _ = _characters(size, [b for _, b in decomposition.components], ())
+    scale = common_scale(b for _, b in decomposition.components)
     columns = _divide(decomposition, scale, size, order + 1)
     denominators = [math.factorial(k) * scale**k for k in range(size)]
     coefficients = [
@@ -79,8 +80,8 @@ def fixed_point_integral(tangent: RootBundle, normal: Union[NormalDecomposition,
     or LOOP for the loop-space family of every weight the window can see.
     ``terms`` are the summands (a, F_a) of F, at distinct weights a.
 
-    A kernel gives the columns b_j of 1/eul in the divided-power basis of
-    ``_characters``, where y^i/i! * y^j/j! = C(i+j, i) y^(i+j)/(i+j)!.  With
+    In the divided-power basis y^k/k! of y = x/D, y^i/i! * y^j/j! = C(i+j, i) y^(i+j)/(i+j)!;
+    ch(F_a) is a ``power_sums`` row and a kernel gives the columns b_j of 1/eul.  With
     w_k the integer that sign times the integral of y^k/k! against
     td(tangent) is over a common denominator, the term F_a contributes
     sum_j g_(a,j) b_j, shifted to weight a, where
@@ -93,20 +94,23 @@ def fixed_point_integral(tangent: RootBundle, normal: Union[NormalDecomposition,
                          f"{MAX_TOP_INDEX}; its Todd class would take too long")
     size = model.top_index + 1
     if normal == LOOP:
-        kernel, source, bundles = _loop_inverse, tangent, [tangent]
+        kernel, source, bundles = _loop_inverse, tangent, []
     else:
         kernel, source, bundles = _divide, normal, [b for _, b in normal.components]
-    scale, characters = _characters(size, bundles, terms)
+    scale = common_scale([tangent, *bundles, *(b for _, b in terms)])
+    # a term whose row is zero contributes nothing, so it does not lower the window
+    characters = {weight: row for weight, bundle in terms
+                  if any(row := power_sums(bundle, scale, size))}
     lowest = min(characters, default=top + 1)
     length = max(top - lowest + 1, 0)
     columns = [(j, column) for j, column in enumerate(kernel(source, scale, size, length))
                if any(column)]
-    # y^k/k! = x^k/(k! D^k) integrates against td, whose x^n coefficient is E_n/(n! c^n),
-    # to E_(m-k)/((m-k)! c^(m-k) k! D^k) = W_k/total; w and common are in lowest terms
-    c, todd = todd_numerators(tangent)
+    # y^k/k! integrates against td = sum E_n y^n/(n! L^n) to E_(m-k)/((m-k)! L^(m-k) k!)
+    # times y^m = x^m/D^m, that is W_k/total; w and common are in lowest terms
+    lcm, todd = todd_numerators(power_sums(tangent, scale, size))
     m = model.top_index
-    total = math.factorial(m) * (c * scale)**m
-    functional = [math.comb(m, k) * todd[m - k] * c**k * scale**(m - k) for k in range(size)]
+    total = math.factorial(m) * (lcm * scale)**m
+    functional = [math.comb(m, k) * todd[m - k] * lcm**k for k in range(size)]
     divisor = math.gcd(total, *functional)
     common = total // divisor
     w = [sign * (v // divisor) for v in functional]
@@ -132,27 +136,6 @@ def fixed_point_integral(tangent: RootBundle, normal: Union[NormalDecomposition,
         table = dict(zip(distinct, fractions))
         fractions = list(map(table.__getitem__, values))
     return QSeries._trusted(QQ, lowest, fractions, top)
-
-
-def _characters(size: int, bundles: Sequence[RootBundle],
-                terms: Sequence[tuple[int, RootBundle]]) -> tuple[int, dict[int, list[int]]]:
-    """The scale D and the nonzero rows ch(F_a), keyed by the weight a.
-
-    D is the lcm of the root denominators in ``bundles`` and ``terms``.  In
-    the divided-power basis y^k/k! of y = x/D, e^(rx) has the integer
-    coordinates (rD)^k, so ch(F_a) is a row of power sums.  A term whose
-    row is zero contributes nothing, so it does not lower the window.
-    """
-    roots = [r for b in (*bundles, *(b for _, b in terms)) for r in b.plus_roots + b.minus_roots]
-    scale = math.lcm(*(r.denominator for r in roots))
-    characters = {}
-    for weight, bundle in terms:
-        plus = [int(root * scale) for root in bundle.plus_roots]
-        minus = [int(root * scale) for root in bundle.minus_roots]
-        row = [sum(r**k for r in plus) - sum(r**k for r in minus) for k in range(size)]
-        if any(row):
-            characters[weight] = row
-    return scale, characters
 
 
 def _check_work(length: int, roots: int, size: int) -> None:
@@ -186,10 +169,10 @@ def _divide(decomposition: NormalDecomposition, scale: int, size: int,
         columns[0][0] = 1
     for weight, bundle in visible:
         for root in bundle.plus_roots:
-            step = int(root * scale)
+            powers = list(accumulate(repeat(int(root * scale), size - 1), operator.mul, initial=1))
             for k, column in enumerate(columns):
                 for j in range(1, k + 1):
-                    c = math.comb(k, j) * step**j
+                    c = math.comb(k, j) * powers[j]
                     if c:
                         column[weight:] = map(operator.add, column[weight:],
                                               map(operator.mul, columns[k - j], repeat(c)))
@@ -204,9 +187,9 @@ def _loop_inverse(tangent: RootBundle, scale: int, size: int, length: int) -> li
     With rho over the tangent roots and their negatives, 1/eul is the product
     of 1/(1 - q^w e^(rho x)) over w >= 1, that is b = exp(sum a_n q^n), where
     coordinate k of n a_n is P_k * sum over j | n of (n/j) j^k, for the power
-    sum P_k = sum_rho (rho D)^k.  The coordinates of b_n are integers, so
-    n b_n = sum_k (k a_k) b_(n-k) is exact, and its cost does not grow with
-    the number of roots.
+    sum P_k = sum_rho (rho D)^k, twice the tangent's ``power_sums`` at even k.
+    The coordinates of b_n are integers, so n b_n = sum_k (k a_k) b_(n-k) is
+    exact, and its cost does not grow with the number of roots.
 
     The roots come in pairs rho, -rho, so P_k = 0 for odd k and b is even in
     x: an even coordinate t of b_n reads only even coordinates of a and b,
@@ -214,13 +197,12 @@ def _loop_inverse(tangent: RootBundle, scale: int, size: int, length: int) -> li
     the even coordinates alone.
     """
     _check_work(length, max(length - 1, 0), size)  # each weight costs one root
-    steps = [int(root * scale) for root in tangent.plus_roots]
+    sums = power_sums(tangent, scale, size)
     # column storage: a[k][n] is coordinate k of n a_n, b[k][n] that of b_n, for n < length
     a = [[0] * length for _ in range(size)]
     for k in range(0, size, 2):
-        power = 2 * sum(s**k for s in steps)
         for j in range(1, length):
-            term = power * j**k  # weight j adds (n/j) j^k P_k to n a_n at n = j, 2j, ...
+            term = 2 * sums[k] * j**k  # weight j adds (n/j) j^k P_k to n a_n at n = j, 2j, ...
             a[k][j::j] = map(operator.add, a[k][j::j], count(term, term))
     b = [[0] * length for _ in range(size)]
     if length:

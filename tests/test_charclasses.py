@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from equindex import (
     model_from_name,
     todd_class,
 )
+from equindex.charclasses import common_scale, power_sums
 from equindex.oracles import todd_product
 
 S2 = model_from_name("s2")
@@ -137,6 +139,20 @@ TODD_ROOTS = st.lists(
 def test_todd_class_equals_the_per_root_product(name, roots):
     bundle = RootBundle(model_from_name(name), roots)
     assert todd_class(bundle) == todd_product(bundle)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), TODD_ROOTS, TODD_ROOTS, st.integers(1, 3))
+@example(3, [Fraction(1, 2), Fraction(-2, 3)], [Fraction(5, 12), Fraction(0)], 1)
+def test_power_sums_are_the_scaled_chern_character(n, plus, minus, multiple):
+    # P_k = k! D^k ch_k for every k <= m, against ch as a sum of exponentials; the
+    # engine's scale is any common multiple of the bundle's own
+    bundle = RootBundle(model_from_name(f"cpn:{n}"), plus, minus)
+    scale = common_scale([bundle]) * multiple
+    ch = chern_character(bundle).coeffs
+    assert power_sums(bundle, scale, n + 1) == [
+        math.factorial(k) * scale**k * c for k, c in enumerate(ch)
+    ]
 
 
 def test_todd_class_is_multiplicative():

@@ -384,6 +384,7 @@ def test_flag_values_are_quoted_cut_short(tmp_path):
     deep = "/".join(["d" * 99] * 5)  # 499 characters, no component past a name's limit
     for args in (("--preset", "ls2", "--order", "9" * 5000),
                  ("--preset", "ls2", "--format", "x" * 3000),
+                 ("--preset", "ls2", "x" * 3000),
                  ("--input", str(tmp_path / deep / "in.json")),
                  ("--preset", "ls2", "--output", str(tmp_path / deep / "out.txt"))):
         result = run_cli(*args)

@@ -240,6 +240,8 @@ def test_compact_trivial_index_goldens():
     assert compact_trivial_index(S2, tangent, EquivariantBundle.trivial(S2)) == QSeries(
         QQ, 0, (1,), 0
     )
+    # no F terms: the zero series, known through q^0 (the order compares too)
+    assert compact_trivial_index(S2, tangent, EquivariantBundle(S2)) == QSeries(QQ, 0, (), 0)
 
 
 def test_compact_trivial_index_on_a_point_is_a_passthrough():

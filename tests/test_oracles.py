@@ -25,7 +25,8 @@ from equindex import (
     naive_inverse,
     partition_numbers,
 )
-from equindex.localization import _characters, _divide, _loop_inverse
+from equindex.charclasses import common_scale
+from equindex.localization import _divide, _loop_inverse
 from support import assert_same_series, random_zz_series
 
 
@@ -176,7 +177,7 @@ def test_the_loop_recurrence_matches_division_by_each_factor(spec):
     assert localized_index(spec) == localized_index(explicit)
     # at the engine's scale, both kernels give the same integer columns of 1/eul
     size = spec.model.top_index + 1
-    scale, _ = _characters(size, [spec.tangent], spec.F.terms)
+    scale = common_scale([spec.tangent, *(b for _, b in spec.F.terms)])
     assert _loop_inverse(spec.tangent, scale, size, depth + 1) == _divide(
         explicit.normal, scale, size, depth + 1
     )
@@ -214,7 +215,7 @@ def test_the_loop_recurrence_matches_division_at_order_60():
     explicit = ProblemSpec(model=cp4, tangent=tangent,
                            normal=loop_normal_decomposition(tangent, depth), F=F, order=order)
     assert localized_index(loop) == localized_index(explicit)
-    scale, _ = _characters(5, [tangent], F.terms)
+    scale = common_scale([tangent, *(b for _, b in F.terms)])
     assert _loop_inverse(tangent, scale, 5, depth + 1) == _divide(
         explicit.normal, scale, 5, depth + 1
     )
