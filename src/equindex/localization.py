@@ -1,15 +1,15 @@
 """Normal data along the fixed-point manifold and the fixed-point integral.
 
 The normal directions decompose into rotation-weight summands, and the
-equivariant Euler class is the product of the factors (1 - q^w e^(rx)), one
-per weight w and root r.  Two integer kernels compute its inverse without
-forming that product: explicit normal data divides the unit class by each
-factor in turn, and the loop-space family, a copy of the complexified
-tangent bundle at every weight, runs a plethystic recurrence whose cost does
-not grow with the number of tangent roots.  The fixed-point integral is the
-one place where ch(F) and the Todd class meet either kernel's columns, read
-at one scale D through ``charclasses.power_sums``.  The product itself and
-the explicit loop decomposition live in ``oracles`` as cross-checks.
+equivariant Euler class is the product of the factors (1 - q^w e^(rx)), one per
+weight w and root r.  Two integer kernels compute its inverse without forming
+that product: explicit normal data divides the unit class by each factor in
+turn, and the loop-space family, a copy of the complexified tangent bundle at
+every weight, is a power of Euler's product times a normalised tower, whose
+recurrence costs the same for any number of tangent roots.  The fixed-point
+integral is the one place where ch(F) and the Todd class meet either kernel's
+columns, read at one scale D through ``charclasses.power_sums``.  The product
+itself and the explicit loop decomposition live in ``oracles`` as cross-checks.
 """
 
 from __future__ import annotations
@@ -110,7 +110,8 @@ def fixed_point_integral(tangent: RootBundle, normal: Union[NormalDecomposition,
     lcm, todd = todd_numerators(power_sums(tangent, scale, size))
     m = model.top_index
     total = math.factorial(m) * (lcm * scale)**m
-    functional = [math.comb(m, k) * todd[m - k] * lcm**k for k in range(size)]
+    functional = [math.comb(m, k) * todd[m - k] * power
+                  for k, power in enumerate(accumulate(repeat(lcm, m), operator.mul, initial=1))]
     divisor = math.gcd(total, *functional)
     common = total // divisor
     w = [sign * (v // divisor) for v in functional]
@@ -184,37 +185,56 @@ def _divide(decomposition: NormalDecomposition, scale: int, size: int,
 def _loop_inverse(tangent: RootBundle, scale: int, size: int, length: int) -> list[list[int]]:
     """What ``_divide`` returns for the loop normal data, from a plethystic exponential.
 
-    With rho over the tangent roots and their negatives, 1/eul is the product
-    of 1/(1 - q^w e^(rho x)) over w >= 1, that is b = exp(sum a_n q^n), where
-    coordinate k of n a_n is P_k * sum over j | n of (n/j) j^k, for the power
-    sum P_k = sum_rho (rho D)^k, twice the tangent's ``power_sums`` at even k.
-    The coordinates of b_n are integers, so n b_n = sum_k (k a_k) b_(n-k) is
-    exact, and its cost does not grow with the number of roots.
+    With rho over the tangent roots and their negatives, 1/eul is the product of
+    1/(1 - q^w e^(rho x)) over w >= 1, that is b = exp(sum a_n q^n), where coordinate k of
+    n a_n is P_k * sum over j | n of (n/j) j^k, for the power sum P_k = sum_rho (rho D)^k,
+    twice the tangent's ``power_sums`` at even k.
 
-    The roots come in pairs rho, -rho, so P_k = 0 for odd k and b is even in
-    x: an even coordinate t of b_n reads only even coordinates of a and b,
-    and an odd one, which is 0 at n = 0, stays 0.  So the recurrence runs on
-    the even coordinates alone.
+    Coordinate 0 of n a_n is r sigma_1(n) for r = P_0, so b = g c for g = prod (1 - q^n)^(-r)
+    and the normalised tower c = exp(the rest), with c_0 = 1; b_0 = g is all a surface needs.
+    By Euler's pentagonal number theorem prod (1 - q^n) = sum_(k in Z) (-1)^k q^(k(3k - 1)/2),
+    and by J. C. P. Miller's recurrence (TAOCP 4.7) n g_n = sum_p ((1 - r) p - n) E_p g_(n-p).
+    The coordinates of c_n are integers, so n c_n = sum_k (k a_k) c_(n-k) is exact at t >= 2,
+    and its cost does not grow with the number of roots.
+
+    The roots come in pairs rho, -rho, so P_k = 0 for odd k and b is even in x: an even
+    coordinate t of c_n reads only even coordinates of a and c, and an odd one, 0 at n = 0,
+    stays 0.  So the recurrence runs on the even coordinates alone.
     """
-    _check_work(length, max(length - 1, 0), size)  # each weight costs one root
+    # one root per weight overstates what a surface costs; the bound and its refusals are kept
+    _check_work(length, max(length - 1, 0), size)
     sums = power_sums(tangent, scale, size)
-    # column storage: a[k][n] is coordinate k of n a_n, b[k][n] that of b_n, for n < length
-    a = [[0] * length for _ in range(size)]
-    for k in range(0, size, 2):
+    r = 2 * sums[0]
+    pentagonal = [(p, (-1)**k, (-1)**k * (1 - r) * p) for k in range(1, math.isqrt(length) + 1)
+                  for p in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)]  # (p, E_p, E_p (1 - r) p)
+    g = [1] * min(length, 1) + [0] * (length - 1)
+    for n in range(1, length):
+        total = 0
+        for p, sign, w in pentagonal:
+            if p > n:
+                break
+            total += (w - sign * n) * g[n - p]
+        g[n], remainder = divmod(total, n)
+        if remainder:
+            raise ArithmeticError(f"power of Euler's product is not integral at q^{n}")
+    # column storage at even k >= 2: a[k][n] is coordinate k of n a_n, c[k][n] that of c_n
+    a = {k: [0] * length for k in range(2, size, 2)}
+    for k, column in a.items():
         for j in range(1, length):
             term = 2 * sums[k] * j**k  # weight j adds (n/j) j^k P_k to n a_n at n = j, 2j, ...
-            a[k][j::j] = map(operator.add, a[k][j::j], count(term, term))
-    b = [[0] * length for _ in range(size)]
-    if length:
-        b[0][0] = 1
-    rows = [(b[t], [(math.comb(t, i), a[i], b[t - i]) for i in range(0, t + 1, 2) if any(a[i])])
-            for t in range(0, size, 2)]
+            column[j::j] = map(operator.add, column[j::j], count(term, term))
+    c = {k: [0] * length for k in a}
+    rows = [(c[t], a[t], [(math.comb(t, i), a[i], c[t - i]) for i in range(2, t, 2) if any(a[i])])
+            for t in c]
     for n in range(1, length):
-        for row, products in rows:
-            total = 0
-            for c, a_i, b_rest in products:
-                total += c * sum(map(operator.mul, a_i[1:n + 1], b_rest[n - 1::-1]))
+        for row, own, products in rows:
+            total = own[n]  # the product a_t c_0, as c_0 = 1
+            for binomial, a_i, c_rest in products:
+                total += binomial * sum(map(operator.mul, a_i[1:n + 1], c_rest[n - 1::-1]))
             row[n], remainder = divmod(total, n)
             if remainder:
                 raise ArithmeticError(f"plethystic recurrence is not integral at q^{n}")
+    b = [g] + [[0] * length for _ in range(1, size)]
+    for t, tower in c.items():  # b_t = g c_t, where c_t vanishes at q^0
+        b[t][1:] = [sum(map(operator.mul, tower[1:n + 1], g[n - 1::-1])) for n in range(1, length)]
     return b

@@ -183,6 +183,32 @@ def test_the_loop_recurrence_matches_division_by_each_factor(spec):
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["point", "s2", "cpn:2", "cpn:3", "cpn:4"]), st.lists(ROOTS, max_size=6),
+       st.integers(0, 30))
+def test_the_loop_kernel_matches_division_at_any_tangent_rank(name, roots, order):
+    # the exponent of Euler's product is twice the tangent's rank, drawn apart from the dimension
+    model = model_from_name(name)
+    tangent = RootBundle(model, roots)
+    size, scale = model.top_index + 1, common_scale([tangent])
+    assert _loop_inverse(tangent, scale, size, order + 1) == _divide(
+        loop_normal_decomposition(tangent, order), scale, size, order + 1
+    )
+
+
+def test_the_loop_kernel_on_a_point_is_a_power_of_eulers_product():
+    # a point keeps only coordinate 0, the factor prod (1 - q^n)^(-2 rank)
+    point = model_from_name("point")
+    assert _loop_inverse(RootBundle(point, (0,)), 1, 1, 7) == [[1, 2, 5, 10, 20, 36, 65]]
+    for rank in range(5):
+        expected = [1] + [0] * 40
+        for n in range(1, 41):
+            for _ in range(2 * rank):  # dividing by 1 - q^n is a prefix sum with stride n
+                for m in range(n, 41):
+                    expected[m] += expected[m - n]
+        assert _loop_inverse(RootBundle(point, (0,) * rank), 1, 1, 41) == [expected]
+
+
 def test_the_loop_kernel_leaves_every_odd_coordinate_zero():
     # the loop normal data is T + conj(T) at every weight, so 1/eul is even in x
     for name, root in (("s2", 2), ("cpn:4", 1)):
