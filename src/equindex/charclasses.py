@@ -4,15 +4,18 @@ A bundle over a monogenic-cohomology manifold is given by two multisets
 of rational roots: a root r stands for a line summand with first Chern
 class r*x.  Everything runs over the integers at one scale D, the lcm of the
 root denominators (``common_scale``): ``power_sums`` reads a bundle as the
-coordinates P_k of ch in y = x/D, and td = exp(sum l_k P_k y^k).  The other
-routes to ch and td, and the lambda factors, are cross-checks in ``oracles``.
+coordinates P_k of ch in y = x/D, and ``todd_functional`` integrates y^k/k!
+against td = exp(sum l_k P_k y^k).  The other routes to ch and td, and the
+lambda factors, are cross-checks in ``oracles``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 from typing import Any, Iterable, Sequence
 
 from .cohomology import CohClass, ManifoldModel, ModelMismatch
@@ -116,19 +119,26 @@ def power_sums(bundle: RootBundle, scale: int, size: int) -> list[int]:
     return [sum(s**k for s in plus) - sum(s**k for s in minus) for k in range(size)]
 
 
-def todd_numerators(sums: Sequence[int]) -> tuple[int, list[int]]:
-    """L and E_0..E_m with td = sum E_n y^n / (n! L^n), from ``power_sums`` P_0..P_m in y = x/D.
+def todd_functional(sums: Sequence[int], scale: int) -> tuple[int, list[int]]:
+    """common and w_0..w_m, in lowest terms, with w_k/common the integral of y^k/k! * td.
 
-    td = exp(sum l_k P_k y^k), that is exp(sum G_k (y/L)^k) for the integers
-    G_k = L^k l_k P_k (0 at odd k > 1), so E_n = sum_(k=1..n) k (n-1)!/(n-k)! G_k E_(n-k).
+    ``sums`` are ``power_sums`` P_0..P_m at the scale D.  td = exp(sum G_k (y/L)^k) for the
+    integers G_k = L^k l_k P_k (0 at odd k > 1), that is sum E_n y^n / (n! L^n) with
+    E_n = sum_(k=1..n) k (n-1)!/(n-k)! G_k E_(n-k); as y^m = x^m/D^m, y^k/k! integrates
+    to C(m, k) E_(m-k) L^k / (m! (L D)^m).
     """
-    lcm, logarithm = _todd_logarithm(len(sums) - 1)
+    m = len(sums) - 1
+    lcm, logarithm = _todd_logarithm(m)
     g = [0] + [c * p for c, p in zip(logarithm, sums[1:])]
     numerators = [1]
     for n in range(1, len(g)):
         numerators.append(sum(k * math.perm(n - 1, k - 1) * g[k] * numerators[n - k]
                               for k in range(1, n + 1) if g[k]))
-    return lcm, numerators
+    total = math.factorial(m) * (lcm * scale)**m
+    functional = [math.comb(m, k) * numerators[m - k] * power
+                  for k, power in enumerate(accumulate(repeat(lcm, m), operator.mul, initial=1))]
+    divisor = math.gcd(total, *functional)
+    return total // divisor, [v // divisor for v in functional]
 
 
 def todd_class(bundle: RootBundle) -> CohClass:
@@ -141,6 +151,7 @@ def todd_class(bundle: RootBundle) -> CohClass:
     if not bundle.is_genuine:
         raise VirtualBundle("the Todd class needs a genuine bundle (no minus roots)")
     scale = common_scale([bundle])
-    lcm, numerators = todd_numerators(power_sums(bundle, scale, bundle.model.top_index + 1))
-    c = lcm * scale  # td = sum E_n x^n / (n! c^n), since y = x/D
-    return CohClass([Fraction(v, math.factorial(n) * c**n) for n, v in enumerate(numerators)])
+    common, w = todd_functional(power_sums(bundle, scale, bundle.model.top_index + 1), scale)
+    # the x^(m-k) entry of td is the integral of x^k td = k! D^k y^k/k! td, so k! D^k w_k/common
+    coefficients = [Fraction(v * math.factorial(k) * scale**k, common) for k, v in enumerate(w)]
+    return CohClass(coefficients[::-1])

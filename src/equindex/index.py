@@ -1,4 +1,4 @@
-"""The localized index pipeline.
+"""The problem records and the constructions built on the localized index.
 
 A problem consists of a fixed-point manifold model, its tangent bundle,
 weighted normal data (explicit, or the loop-space family), an equivariant
@@ -8,7 +8,9 @@ the integral over the fixed manifold of
 
     td(tangent) * ch(F) * ch(L) * (inverse Euler class of the normal data)
 
-collected as an exact q-series with rational coefficients.
+collected as an exact q-series with rational coefficients by
+``localization.localized_index``, re-exported here beside the records, the
+loop-space and compact constructions, and the presets.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterable, Sequence, Union
 
 from .charclasses import RootBundle, VirtualBundle, merge_by_weight
 from .cohomology import ManifoldModel, ModelMismatch, UnsupportedModel, model_from_name
-from .localization import LOOP, NormalDecomposition, fixed_point_integral
+from .localization import LOOP, NormalDecomposition, localized_index
 from .series import QSeries, Record, SchemaError, shorten
 
 
@@ -94,18 +96,6 @@ class ProblemSpec(Record):
             raise SchemaError("order",
                               f"must be a nonnegative integer, got {shorten(repr(order))}")
         self._set_fields(model, tangent, normal, F, L, order)
-
-
-def localized_index(spec: ProblemSpec) -> QSeries:
-    """Evaluate the fixed-point integral as a q-series over the rationals.
-
-    The result is known exactly through q^order: the quotient by the
-    Euler class is taken through q^(order - L.weight), from the lowest
-    F-weight up, before the difference line's sign and shift.
-    """
-    total = fixed_point_integral(spec.tangent, spec.normal, spec.F.terms,
-                                 spec.order - spec.L.weight, spec.L.sign)
-    return total.shift(spec.L.weight)
 
 
 def loop_space_index(surface: ManifoldModel, E: EquivariantBundle, order: int) -> QSeries:

@@ -7,26 +7,31 @@ that product: explicit normal data divides the unit class by each factor in
 turn, and the loop-space family, a copy of the complexified tangent bundle at
 every weight, is a power of Euler's product times a normalised tower, whose
 recurrence costs the same for any number of tangent roots.  The fixed-point
-integral is the one place where ch(F) and the Todd class meet either kernel's
-columns, read at one scale D through ``charclasses.power_sums``.  The product
-itself and the explicit loop decomposition live in ``oracles`` as cross-checks.
+integral, ``localized_index``, is the one place where ch(F) and the Todd
+functional meet either kernel's columns, read at one scale D through
+``charclasses.power_sums``.  The product itself and the explicit loop
+decomposition live in ``oracles`` as cross-checks.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from fractions import Fraction
 from itertools import accumulate, count, repeat
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable
 
 from .charclasses import (RootBundle, VirtualBundle, common_scale, merge_by_weight, power_sums,
-                          todd_numerators)
+                          todd_functional)
 from .cohomology import CohClass, CohRing, ManifoldModel
 from .series import QQ, QSeries, Record, shorten
 
+if TYPE_CHECKING:
+    from .index import ProblemSpec
+
 LOOP = "loop"  # marker for the loop-space normal family
-MAX_KERNEL_WORK = 10**8  # estimated integer steps of one kernel call; see _check_work
+MAX_KERNEL_WORK = 10**8  # estimated integer steps of one solve; see _check_work
 MAX_TOP_INDEX = 100  # largest dimension m a solve takes: the Todd class's integers grow with m
 
 
@@ -62,7 +67,9 @@ def inverse_euler_class(decomposition: NormalDecomposition, order: int) -> QSeri
     """Inverse of the Euler class modulo q^(order+1), from the division kernel."""
     model = decomposition.model
     size = model.top_index + 1
-    scale = common_scale(b for _, b in decomposition.components)
+    bundles = [b for _, b in decomposition.components]
+    scale = common_scale(bundles)
+    _check_work(decomposition, order + 1, size, bundles, scale)
     columns = _divide(decomposition, scale, size, order + 1)
     denominators = [math.factorial(k) * scale**k for k in range(size)]
     coefficients = [
@@ -71,50 +78,41 @@ def inverse_euler_class(decomposition: NormalDecomposition, order: int) -> QSeri
     return QSeries(CohRing(model), 0, coefficients, order)
 
 
-def fixed_point_integral(tangent: RootBundle, normal: Union[NormalDecomposition, str],
-                         terms: Sequence[tuple[int, RootBundle]], top: int,
-                         sign: int) -> QSeries:
-    """sign times the integral of td(tangent) * ch(F) / eul(normal) over the fixed manifold.
+def localized_index(spec: ProblemSpec) -> QSeries:
+    """The integral of td(tangent) * ch(F) * ch(L) / eul(normal), known through q^order.
 
-    The result is known through q^top.  ``normal`` is a NormalDecomposition,
-    or LOOP for the loop-space family of every weight the window can see.
-    ``terms`` are the summands (a, F_a) of F, at distinct weights a.
-
-    In the divided-power basis y^k/k! of y = x/D, y^i/i! * y^j/j! = C(i+j, i) y^(i+j)/(i+j)!;
-    ch(F_a) is a ``power_sums`` row and a kernel gives the columns b_j of 1/eul.  With
-    w_k the integer that sign times the integral of y^k/k! against
-    td(tangent) is over a common denominator, the term F_a contributes
-    sum_j g_(a,j) b_j, shifted to weight a, where
-    g_(a,j) = sum_i C(i+j, i) ch(F_a)_i w_(i+j): the columns of ch(F) / eul
-    are never formed.
+    The quotient by the Euler class is taken through q^(order - L.weight), from the lowest
+    F-weight up; L contributes its sign and the shift q^(L.weight).  In the basis y^k/k! of
+    y = x/D, y^i/i! * y^j/j! = C(i+j, i) y^(i+j)/(i+j)!; ch(F_a) is a ``power_sums`` row, a
+    kernel gives the columns b_j of 1/eul, and with w_k/common the integral of y^k/k! * td
+    (``todd_functional``), F_a contributes sum_j g_(a,j) b_j, shifted to weight a, where
+    g_(a,j) = sum_i C(i+j, i) ch(F_a)_i w_(i+j): the columns of ch(F) / eul are never formed.
     """
+    tangent, normal, line = spec.tangent, spec.normal, spec.L
     model = tangent.model
     if model.top_index > MAX_TOP_INDEX:  # before any power sum or Todd coefficient is built
         raise ValueError(f"manifold: {shorten(repr(model.name))} has dimension past the bound "
                          f"{MAX_TOP_INDEX}; its Todd class would take too long")
     size = model.top_index + 1
     if normal == LOOP:
-        kernel, source, bundles = _loop_inverse, tangent, []
+        kernel, source, bundles = _loop_inverse, tangent, [tangent]
     else:
-        kernel, source, bundles = _divide, normal, [b for _, b in normal.components]
-    scale = common_scale([tangent, *bundles, *(b for _, b in terms)])
+        kernel, source, bundles = _divide, normal, [tangent, *(b for _, b in normal.components)]
+    bundles += [b for _, b in spec.F.terms]
+    scale = common_scale(bundles)
+    top = spec.order - line.weight
+    # before the rows are built every F-weight may open the window
+    reach = min((weight for weight, _ in spec.F.terms), default=top + 1)
+    _check_work(normal, max(top - reach + 1, 0), size, bundles, scale)
     # a term whose row is zero contributes nothing, so it does not lower the window
-    characters = {weight: row for weight, bundle in terms
+    characters = {weight: row for weight, bundle in spec.F.terms
                   if any(row := power_sums(bundle, scale, size))}
     lowest = min(characters, default=top + 1)
     length = max(top - lowest + 1, 0)
     columns = [(j, column) for j, column in enumerate(kernel(source, scale, size, length))
                if any(column)]
-    # y^k/k! integrates against td = sum E_n y^n/(n! L^n) to E_(m-k)/((m-k)! L^(m-k) k!)
-    # times y^m = x^m/D^m, that is W_k/total; w and common are in lowest terms
-    lcm, todd = todd_numerators(power_sums(tangent, scale, size))
-    m = model.top_index
-    total = math.factorial(m) * (lcm * scale)**m
-    functional = [math.comb(m, k) * todd[m - k] * power
-                  for k, power in enumerate(accumulate(repeat(lcm, m), operator.mul, initial=1))]
-    divisor = math.gcd(total, *functional)
-    common = total // divisor
-    w = [sign * (v // divisor) for v in functional]
+    common, w = todd_functional(power_sums(tangent, scale, size), scale)
+    w = [line.sign * v for v in w]
     # over the common denominator each coefficient is an integer
     values = [0] * length
     for j, column in columns:
@@ -136,20 +134,33 @@ def fixed_point_integral(tangent: RootBundle, normal: Union[NormalDecomposition,
     if len(fractions) < len(values):
         table = dict(zip(distinct, fractions))
         fractions = list(map(table.__getitem__, values))
-    return QSeries._trusted(QQ, lowest, fractions, top)
+    return QSeries._trusted(QQ, lowest + line.weight, fractions, spec.order)
 
 
-def _check_work(length: int, roots: int, size: int) -> None:
-    """Refuse a window whose kernel would run for hours, before anything is allocated.
+def _check_work(normal: NormalDecomposition | str, length: int, size: int,
+                bundles: list[RootBundle], scale: int) -> None:
+    """Refuse a solve that would run for hours, before any power sum is built.
 
-    The estimate is length * (roots + 1) * size^2: a division costs about
-    size^2 integer products per coefficient and root, and building the
-    columns and the integral about as much as one more root.
+    The estimate is (length * (terms + 1) + 1) * size^2 integer products, each a step per
+    Python digit of the widest integer, about m log2 |rD| bits for the widest root r.  Per
+    coefficient of the window, a division has a term per normal root, the loop tower
+    (size >= 3) one per earlier coefficient, and a surface's loop kernel two per pentagonal
+    number of Miller's recurrence, about sqrt(8 length / 3); the columns and the integral
+    cost about one term more, and the Todd recurrence about size^2 products.
     """
-    work = length * (roots + 1) * size**2
+    if normal != LOOP:
+        terms = sum(len(b.plus_roots) for w, b in normal.components if w < length)
+    elif size > 2:
+        terms = length - 1
+    else:
+        terms = 2 * math.isqrt(8 * length // 3)
+    widest = max((abs(r.numerator) * (scale // r.denominator)
+                  for b in bundles for r in b.plus_roots + b.minus_roots), default=0)
+    digits = math.ceil((size - 1) * math.log2(max(widest, 1)) / sys.int_info.bits_per_digit)
+    work = (length * (terms + 1) + 1) * size**2 * max(digits, 1)
     if work > MAX_KERNEL_WORK:
-        raise ValueError(f"order: the kernel would take about {work:.1e} steps, "
-                         f"over the bound {MAX_KERNEL_WORK:.0e}; ask for a lower order")
+        raise ValueError(f"order: the solve would take about {work:.1e} steps, over the bound "
+                         f"{MAX_KERNEL_WORK:.0e}; ask for a lower order or smaller roots")
 
 
 def _divide(decomposition: NormalDecomposition, scale: int, size: int,
@@ -164,7 +175,6 @@ def _divide(decomposition: NormalDecomposition, scale: int, size: int,
     from the unit class.
     """
     visible = [(w, b) for w, b in decomposition.components if w < length]  # the rest give 1
-    _check_work(length, sum(len(b.plus_roots) for _, b in visible), size)
     columns = [[0] * length for _ in range(size)]
     if length:
         columns[0][0] = 1
@@ -201,20 +211,18 @@ def _loop_inverse(tangent: RootBundle, scale: int, size: int, length: int) -> li
     coordinate t of c_n reads only even coordinates of a and c, and an odd one, 0 at n = 0,
     stays 0.  So the recurrence runs on the even coordinates alone.
     """
-    # one root per weight overstates what a surface costs; the bound and its refusals are kept
-    _check_work(length, max(length - 1, 0), size)
     sums = power_sums(tangent, scale, size)
     r = 2 * sums[0]
     pentagonal = [(p, (-1)**k, (-1)**k * (1 - r) * p) for k in range(1, math.isqrt(length) + 1)
                   for p in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)]  # (p, E_p, E_p (1 - r) p)
     g = [1] * min(length, 1) + [0] * (length - 1)
     for n in range(1, length):
-        total = 0
+        ng = 0  # n g_n
         for p, sign, w in pentagonal:
             if p > n:
                 break
-            total += (w - sign * n) * g[n - p]
-        g[n], remainder = divmod(total, n)
+            ng += (w - sign * n) * g[n - p]
+        g[n], remainder = divmod(ng, n)
         if remainder:
             raise ArithmeticError(f"power of Euler's product is not integral at q^{n}")
     # column storage at even k >= 2: a[k][n] is coordinate k of n a_n, c[k][n] that of c_n
@@ -228,10 +236,10 @@ def _loop_inverse(tangent: RootBundle, scale: int, size: int, length: int) -> li
             for t in c]
     for n in range(1, length):
         for row, own, products in rows:
-            total = own[n]  # the product a_t c_0, as c_0 = 1
+            nc = own[n]  # n c_n, from the product a_t c_0, as c_0 = 1
             for binomial, a_i, c_rest in products:
-                total += binomial * sum(map(operator.mul, a_i[1:n + 1], c_rest[n - 1::-1]))
-            row[n], remainder = divmod(total, n)
+                nc += binomial * sum(map(operator.mul, a_i[1:n + 1], c_rest[n - 1::-1]))
+            row[n], remainder = divmod(nc, n)
             if remainder:
                 raise ArithmeticError(f"plethystic recurrence is not integral at q^{n}")
     b = [g] + [[0] * length for _ in range(1, size)]

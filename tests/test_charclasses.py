@@ -23,7 +23,7 @@ from equindex import (
     model_from_name,
     todd_class,
 )
-from equindex.charclasses import common_scale, power_sums
+from equindex.charclasses import common_scale, power_sums, todd_functional
 from equindex.oracles import todd_product
 
 S2 = model_from_name("s2")
@@ -153,6 +153,24 @@ def test_power_sums_are_the_scaled_chern_character(n, plus, minus, multiple):
     assert power_sums(bundle, scale, n + 1) == [
         math.factorial(k) * scale**k * c for k, c in enumerate(ch)
     ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["point", "s2", *(f"cpn:{n}" for n in range(1, 9))]), TODD_ROOTS,
+       st.integers(1, 3))
+@example("cpn:8", [Fraction(1, 2), Fraction(-7, 12), Fraction(5, 11)], 3)
+def test_the_todd_functional_integrates_the_per_root_product(name, roots, multiple):
+    # w_k/common is the integral of y^k/k! td for y = x/D, that is td_(m-k) / (k! D^k),
+    # in lowest terms, at the bundle's own scale or any multiple of it
+    bundle = RootBundle(model_from_name(name), roots)
+    m = bundle.model.top_index
+    scale = common_scale([bundle]) * multiple
+    common, w = todd_functional(power_sums(bundle, scale, m + 1), scale)
+    td = todd_product(bundle).coeffs
+    assert [Fraction(v, common) for v in w] == [
+        td[m - k] / (math.factorial(k) * scale**k) for k in range(m + 1)
+    ]
+    assert math.gcd(common, *w) == 1
 
 
 def test_todd_class_is_multiplicative():

@@ -305,6 +305,26 @@ def test_a_large_projective_space_exits_one_at_once(tmp_path):
         assert result.stderr.count("\n") == 1, result.stderr
 
 
+def test_wide_roots_exit_one_at_once(tmp_path):
+    # the kernel (cpn:30, D = 77...7) and the Todd recurrence (cpn:100, the root 10^4000)
+    # ran 31 s and 51 s on integers of about m log2 |rD| bits before failing to print
+    documents = [
+        {"manifold": "cpn:30", "tangent": {"plus": ["1/" + "7" * 4000]},
+         "normal": [{"weight": 1, "plus": [1]}], "F": [{"weight": 0, "plus": [0]}], "order": 10},
+        {"manifold": "cpn:100", "tangent": {"plus": ["1e4000"]},
+         "normal": [{"weight": 1, "plus": [1]}], "F": [{"weight": 0, "plus": [0]}], "order": 0},
+    ]
+    path = tmp_path / "wide.json"
+    for document in documents:
+        path.write_text(json.dumps(document))
+        start = time.perf_counter()
+        result = run_cli("--input", str(path))
+        assert time.perf_counter() - start < 1, document["manifold"]
+        assert (result.returncode, result.stdout) == (1, ""), document["manifold"]
+        assert result.stderr.startswith("equindex: order: "), result.stderr
+        assert result.stderr.count("\n") == 1, result.stderr
+
+
 def test_a_result_too_long_for_text_exits_one(tmp_path):
     # a root of 10^-4000 on cpn:2 gives coefficients with 8001-digit numerators and
     # denominators, past Python's limit on the digits of an integer converted to text

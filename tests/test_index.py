@@ -41,7 +41,6 @@ from equindex import (
     partition_numbers,
     preset_spec,
 )
-from equindex.localization import fixed_point_integral
 from equindex.oracles import todd_product
 from support import assert_same_series
 
@@ -532,7 +531,9 @@ def test_the_integral_is_additive_in_the_coefficient_bundle(case):
     spec, other = case
 
     def integral(F):
-        return fixed_point_integral(spec.tangent, spec.normal, F.terms, spec.order, spec.L.sign)
+        line = DifferenceLine(spec.L.sign, 0)
+        problem = ProblemSpec(spec.model, spec.tangent, spec.normal, F, line, spec.order)
+        return localized_index(problem)
 
     combined = EquivariantBundle(spec.model, spec.F.terms + other.terms)
     assert integral(combined) == integral(spec.F) + integral(other)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equindex import (
+    LOOP,
     CohClass,
     CohRing,
+    DifferenceLine,
     EquivariantBundle,
     ModelMismatch,
     NormalDecomposition,
+    ProblemSpec,
     QSeries,
     QQ,
     RootBundle,
@@ -28,12 +32,13 @@ from equindex import (
     model_from_name,
     naive_inverse,
     partition_numbers,
+    preset_spec,
 )
 from equindex.localization import (
     MAX_KERNEL_WORK,
     MAX_TOP_INDEX,
     _check_work,
-    fixed_point_integral,
+    localized_index,
 )
 from equindex.oracles import todd_product
 from support import assert_is_one, assert_same_series, random_decomposition
@@ -239,7 +244,8 @@ def integrals(draw):
 @given(integrals())
 def test_the_integral_is_long_division_times_the_character(case):
     tangent, normal, F, top, sign = case
-    out = fixed_point_integral(tangent, normal, F.terms, top, sign)
+    line = DifferenceLine(sign, 0)
+    out = localized_index(ProblemSpec(tangent.model, tangent, normal, F, line, top))
     # the Euler class as a product, its long-division inverse, ch(F), and td
     ring = CohRing(tangent.model)
     characters = {a: chern_character(bundle) for a, bundle in F.terms}
@@ -256,24 +262,57 @@ def test_the_integral_is_long_division_times_the_character(case):
 
 
 def test_the_kernel_work_bound():
-    # the estimate is length * (roots + 1) * size^2, and the bound itself is allowed
-    _check_work(MAX_KERNEL_WORK // 4, 0, 2)
+    # the estimate is (length * (terms + 1) + 1) * size^2 * digits, and the bound itself is allowed
+    empty = NormalDecomposition(S2)
+    _check_work(empty, MAX_KERNEL_WORK // 4 - 1, 2, [], 1)
     with pytest.raises(ValueError, match="^order: "):
-        _check_work(MAX_KERNEL_WORK // 4 + 1, 0, 2)
+        _check_work(empty, MAX_KERNEL_WORK // 4, 2, [], 1)
+    crowded = NormalDecomposition(POINT, ((1, RootBundle(POINT, (0,) * 10**4)),))
     with pytest.raises(ValueError, match="^order: "):
-        _check_work(10**4, 10**4, 1)
+        _check_work(crowded, 10**4, 1, [], 1)
     # a window far past the bound is refused before any column is allocated
     decomposition = NormalDecomposition(CP2, ((1, RootBundle(CP2, (1, 2))),))
     with pytest.raises(ValueError, match="^order: "):
         inverse_euler_class(decomposition, 10**15)
 
 
+def test_the_work_bound_weighs_the_widest_integer():
+    # m log2 |rD| bits: 2 * 61 = 122 bits are 5 Python digits of 30 bits (9 of 15)
+    digits = -(-122 // sys.int_info.bits_per_digit)
+    narrow = NormalDecomposition(CP2, ((1, RootBundle(CP2, (1,))),))
+    wide = NormalDecomposition(CP2, ((1, RootBundle(CP2, (2**61,))),))
+    length = (MAX_KERNEL_WORK // (9 * digits) - 1) // 2
+    _check_work(wide, length, 3, [b for _, b in wide.components], 1)
+    with pytest.raises(ValueError, match="^order: "):
+        _check_work(wide, length + 1, 3, [b for _, b in wide.components], 1)
+    _check_work(narrow, length + 1, 3, [b for _, b in narrow.components], 1)
+    # the scale counts too: the root 1 is 1/7^22 times D = 7^22, 61.8 bits
+    _check_work(narrow, length, 3, [RootBundle(CP2, (1, Fraction(1, 7**22)))], 7**22)
+    with pytest.raises(ValueError, match="^order: "):
+        _check_work(narrow, length + 1, 3, [RootBundle(CP2, (1, Fraction(1, 7**22)))], 7**22)
+
+
+def test_a_surface_loop_is_charged_for_its_pentagonal_terms():
+    # two products per pentagonal number of Miller's recurrence: ls2 is solved through
+    # order 38879 (about 1.7 s as a command-line run on a 2-vCPU host), refused at 38880
+    tangent = [preset_spec("ls2", 0).tangent]
+    _check_work(LOOP, 38879 + 1, 2, tangent, 1)
+    with pytest.raises(ValueError, match="^order: "):
+        _check_work(LOOP, 38880 + 1, 2, tangent, 1)
+    assert localized_index(preset_spec("ls2", 5000)).order == 5000
+    # the tower of a larger manifold keeps the quadratic charge
+    tangent = [RootBundle(CP2, (1, 1))]
+    _check_work(LOOP, 3000, 3, tangent, 1)
+    with pytest.raises(ValueError, match="^order: "):
+        _check_work(LOOP, 4000, 3, tangent, 1)
+
+
 def test_the_dimension_bound():
     def solve(m: int):
         model = model_from_name(f"cpn:{m}")
         normal = NormalDecomposition(model, ((1, RootBundle(model, (1,))),))
-        F = ((0, RootBundle(model, (7,))),)
-        return fixed_point_integral(RootBundle(model, (1,)), normal, F, 0, 1)
+        F = EquivariantBundle(model, ((0, RootBundle(model, (7,))),))
+        return localized_index(ProblemSpec(model, RootBundle(model, (1,)), normal, F, order=0))
 
     # the bound itself is allowed; one more is refused before the Todd class is built
     assert solve(MAX_TOP_INDEX).order == 0
