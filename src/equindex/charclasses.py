@@ -5,7 +5,7 @@ of rational roots: a root r stands for a line summand with first Chern
 class r*x.  Everything runs over the integers at one scale D, the lcm of the
 root denominators (``common_scale``): ``power_sums`` reads a bundle as the
 coordinates P_k of ch in y = x/D, and ``todd_functional`` integrates y^k/k!
-against td = exp(sum l_k P_k y^k).  The other routes to ch and td, and the
+against td = exp(sum l_k P_k y^k/k!).  The other routes to ch and td, and the
 lambda factors, are cross-checks in ``oracles``.
 """
 
@@ -91,15 +91,15 @@ def merge_by_weight(model: ManifoldModel, summands: Iterable[tuple[int, RootBund
 
 @lru_cache(maxsize=None)
 def _todd_logarithm(top_index: int) -> tuple[int, tuple[int, ...]]:
-    """L and the integers L^k l_k, k = 1..top_index, of log(t / (1 - e^(-t))) = sum l_k t^k.
+    """N and the integers N^k l_k, k = 1..top_index, of log(t / (1 - e^(-t))) = sum l_k t^k/k!.
 
-    Its derivative is 1/t - 1/(e^t - 1), so l_k = -B_k / (k k!) for the Bernoulli numbers
-    of sum_(j<=n) C(n+1, j) B_j = 0; L is the lcm of the denominators of l_1..l_top_index.
+    Its derivative is 1/t - 1/(e^t - 1), so l_k = -B_k / k for the Bernoulli numbers of
+    sum_(j<=n) C(n+1, j) B_j = 0; N is the lcm of the denominators of l_1..l_top_index.
     """
     bernoulli = [Fraction(1)]
     for n in range(1, top_index + 1):
         bernoulli.append(-sum(math.comb(n + 1, j) * b for j, b in enumerate(bernoulli)) / (n + 1))
-    logarithm = [-bernoulli[k] / (k * math.factorial(k)) for k in range(1, top_index + 1)]
+    logarithm = [-bernoulli[k] / k for k in range(1, top_index + 1)]
     scale = math.lcm(*(c.denominator for c in logarithm))
     return scale, tuple(int(c * scale**k) for k, c in enumerate(logarithm, 1))
 
@@ -122,17 +122,17 @@ def power_sums(bundle: RootBundle, scale: int, size: int) -> list[int]:
 def todd_functional(sums: Sequence[int], scale: int) -> tuple[int, list[int]]:
     """common and w_0..w_m, in lowest terms, with w_k/common the integral of y^k/k! * td.
 
-    ``sums`` are ``power_sums`` P_0..P_m at the scale D.  td = exp(sum G_k (y/L)^k) for the
-    integers G_k = L^k l_k P_k (0 at odd k > 1), that is sum E_n y^n / (n! L^n) with
-    E_n = sum_(k=1..n) k (n-1)!/(n-k)! G_k E_(n-k); as y^m = x^m/D^m, y^k/k! integrates
-    to C(m, k) E_(m-k) L^k / (m! (L D)^m).
+    ``sums`` are ``power_sums`` P_0..P_m at the scale D.  td = exp(sum G_k (y/N)^k/k!) for the
+    integers G_k = N^k l_k P_k (0 at odd k > 1), that is sum E_n y^n / (n! N^n) with
+    E_n = sum_(k=1..n) C(n-1, k-1) G_k E_(n-k); as y^m = x^m/D^m, y^k/k! integrates
+    to C(m, k) E_(m-k) N^k / (m! (N D)^m).
     """
     m = len(sums) - 1
     lcm, logarithm = _todd_logarithm(m)
     g = [0] + [c * p for c, p in zip(logarithm, sums[1:])]
     numerators = [1]
     for n in range(1, len(g)):
-        numerators.append(sum(k * math.perm(n - 1, k - 1) * g[k] * numerators[n - k]
+        numerators.append(sum(math.comb(n - 1, k - 1) * g[k] * numerators[n - k]
                               for k in range(1, n + 1) if g[k]))
     total = math.factorial(m) * (lcm * scale)**m
     functional = [math.comb(m, k) * numerators[m - k] * power

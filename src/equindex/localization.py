@@ -94,24 +94,19 @@ def localized_index(spec: ProblemSpec) -> QSeries:
         raise ValueError(f"manifold: {shorten(repr(model.name))} has dimension past the bound "
                          f"{MAX_TOP_INDEX}; its Todd class would take too long")
     size = model.top_index + 1
-    if normal == LOOP:
-        kernel, source, bundles = _loop_inverse, tangent, [tangent]
-    else:
-        kernel, source, bundles = _divide, normal, [tangent, *(b for _, b in normal.components)]
-    bundles += [b for _, b in spec.F.terms]
+    bundles = [tangent, *(b for _, b in spec.F.terms)]
+    if normal != LOOP:
+        bundles += [b for _, b in normal.components]
     scale = common_scale(bundles)
     top = spec.order - line.weight
-    # before the rows are built every F-weight may open the window
-    reach = min((weight for weight, _ in spec.F.terms), default=top + 1)
-    _check_work(normal, max(top - reach + 1, 0), size, bundles, scale)
-    # a term whose row is zero contributes nothing, so it does not lower the window
-    characters = {weight: row for weight, bundle in spec.F.terms
-                  if any(row := power_sums(bundle, scale, size))}
-    lowest = min(characters, default=top + 1)
+    lowest = min((weight for weight, _ in spec.F.terms), default=top + 1)
     length = max(top - lowest + 1, 0)
-    columns = [(j, column) for j, column in enumerate(kernel(source, scale, size, length))
-               if any(column)]
-    common, w = todd_functional(power_sums(tangent, scale, size), scale)
+    _check_work(normal, length, size, bundles, scale)
+    characters = {weight: power_sums(bundle, scale, size) for weight, bundle in spec.F.terms}
+    sums = power_sums(tangent, scale, size)
+    b = _loop_inverse(sums, length) if normal == LOOP else _divide(normal, scale, size, length)
+    columns = [(j, column) for j, column in enumerate(b) if any(column)]
+    common, w = todd_functional(sums, scale)
     w = [line.sign * v for v in w]
     # over the common denominator each coefficient is an integer
     values = [0] * length
@@ -180,7 +175,8 @@ def _divide(decomposition: NormalDecomposition, scale: int, size: int,
         columns[0][0] = 1
     for weight, bundle in visible:
         for root in bundle.plus_roots:
-            powers = list(accumulate(repeat(int(root * scale), size - 1), operator.mul, initial=1))
+            step = root.numerator * (scale // root.denominator)
+            powers = list(accumulate(repeat(step, size - 1), operator.mul, initial=1))
             for k, column in enumerate(columns):
                 for j in range(1, k + 1):
                     c = math.comb(k, j) * powers[j]
@@ -192,13 +188,13 @@ def _divide(decomposition: NormalDecomposition, scale: int, size: int,
     return columns
 
 
-def _loop_inverse(tangent: RootBundle, scale: int, size: int, length: int) -> list[list[int]]:
+def _loop_inverse(sums: list[int], length: int) -> list[list[int]]:
     """What ``_divide`` returns for the loop normal data, from a plethystic exponential.
 
     With rho over the tangent roots and their negatives, 1/eul is the product of
     1/(1 - q^w e^(rho x)) over w >= 1, that is b = exp(sum a_n q^n), where coordinate k of
     n a_n is P_k * sum over j | n of (n/j) j^k, for the power sum P_k = sum_rho (rho D)^k,
-    twice the tangent's ``power_sums`` at even k.
+    twice ``sums``, the tangent's ``power_sums``, at even k; b has one coordinate per sum.
 
     Coordinate 0 of n a_n is r sigma_1(n) for r = P_0, so b = g c for g = prod (1 - q^n)^(-r)
     and the normalised tower c = exp(the rest), with c_0 = 1; b_0 = g is all a surface needs.
@@ -211,7 +207,7 @@ def _loop_inverse(tangent: RootBundle, scale: int, size: int, length: int) -> li
     coordinate t of c_n reads only even coordinates of a and c, and an odd one, 0 at n = 0,
     stays 0.  So the recurrence runs on the even coordinates alone.
     """
-    sums = power_sums(tangent, scale, size)
+    size = len(sums)
     r = 2 * sums[0]
     pentagonal = [(p, (-1)**k, (-1)**k * (1 - r) * p) for k in range(1, math.isqrt(length) + 1)
                   for p in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)]  # (p, E_p, E_p (1 - r) p)

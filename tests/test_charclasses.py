@@ -159,6 +159,7 @@ def test_power_sums_are_the_scaled_chern_character(n, plus, minus, multiple):
 @given(st.sampled_from(["point", "s2", *(f"cpn:{n}" for n in range(1, 9))]), TODD_ROOTS,
        st.integers(1, 3))
 @example("cpn:8", [Fraction(1, 2), Fraction(-7, 12), Fraction(5, 11)], 3)
+@example("cpn:40", [Fraction((-1)**k * (k % 7 + 1), k % 5 + 1) for k in range(41)], 2)
 def test_the_todd_functional_integrates_the_per_root_product(name, roots, multiple):
     # w_k/common is the integral of y^k/k! td for y = x/D, that is td_(m-k) / (k! D^k),
     # in lowest terms, at the bundle's own scale or any multiple of it

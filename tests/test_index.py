@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equindex import (
@@ -481,8 +481,24 @@ def _product_route(spec: ProblemSpec) -> QSeries:
     return out.shift(spec.L.weight).truncate(spec.order)
 
 
+def _with_a_vanishing_character_below(name: str, normal) -> ProblemSpec:
+    """F with a term of ch = 0 (plus = minus) below every other F-weight."""
+    model = model_from_name(name)
+    same = (Fraction(1, 2), -3)
+    F = EquivariantBundle(model, ((-5, RootBundle(model, same, same)),
+                                  (1, RootBundle(model, (1, Fraction(-2, 3)))),
+                                  (2, RootBundle(model, (), (Fraction(5, 4),)))))
+    tangent = RootBundle(model, (Fraction(-1, 3),) * model.top_index)
+    if normal != LOOP:
+        normal = NormalDecomposition(model, [(w, RootBundle(model, roots)) for w, roots in normal])
+    return ProblemSpec(model=model, tangent=tangent, normal=normal, F=F,
+                       L=DifferenceLine(-1, 2), order=6)
+
+
 @settings(max_examples=150, deadline=None)
 @given(problems_with_low_weights())
+@example(_with_a_vanishing_character_below("cpn:2", [(1, (2, Fraction(1, 3))), (3, (-1,))]))
+@example(_with_a_vanishing_character_below("s2", LOOP))
 def test_the_integral_matches_the_product_route(spec):
     assert localized_index(spec) == _product_route(spec)
 

@@ -25,7 +25,7 @@ from equindex import (
     naive_inverse,
     partition_numbers,
 )
-from equindex.charclasses import common_scale
+from equindex.charclasses import common_scale, power_sums
 from equindex.localization import _divide, _loop_inverse
 from support import assert_same_series, random_zz_series
 
@@ -178,7 +178,7 @@ def test_the_loop_recurrence_matches_division_by_each_factor(spec):
     # at the engine's scale, both kernels give the same integer columns of 1/eul
     size = spec.model.top_index + 1
     scale = common_scale([spec.tangent, *(b for _, b in spec.F.terms)])
-    assert _loop_inverse(spec.tangent, scale, size, depth + 1) == _divide(
+    assert _loop_inverse(power_sums(spec.tangent, scale, size), depth + 1) == _divide(
         explicit.normal, scale, size, depth + 1
     )
 
@@ -191,7 +191,7 @@ def test_the_loop_kernel_matches_division_at_any_tangent_rank(name, roots, order
     model = model_from_name(name)
     tangent = RootBundle(model, roots)
     size, scale = model.top_index + 1, common_scale([tangent])
-    assert _loop_inverse(tangent, scale, size, order + 1) == _divide(
+    assert _loop_inverse(power_sums(tangent, scale, size), order + 1) == _divide(
         loop_normal_decomposition(tangent, order), scale, size, order + 1
     )
 
@@ -199,14 +199,16 @@ def test_the_loop_kernel_matches_division_at_any_tangent_rank(name, roots, order
 def test_the_loop_kernel_on_a_point_is_a_power_of_eulers_product():
     # a point keeps only coordinate 0, the factor prod (1 - q^n)^(-2 rank)
     point = model_from_name("point")
-    assert _loop_inverse(RootBundle(point, (0,)), 1, 1, 7) == [[1, 2, 5, 10, 20, 36, 65]]
+    assert _loop_inverse(power_sums(RootBundle(point, (0,)), 1, 1), 7) == [
+        [1, 2, 5, 10, 20, 36, 65]
+    ]
     for rank in range(5):
         expected = [1] + [0] * 40
         for n in range(1, 41):
             for _ in range(2 * rank):  # dividing by 1 - q^n is a prefix sum with stride n
                 for m in range(n, 41):
                     expected[m] += expected[m - n]
-        assert _loop_inverse(RootBundle(point, (0,) * rank), 1, 1, 41) == [expected]
+        assert _loop_inverse(power_sums(RootBundle(point, (0,) * rank), 1, 1), 41) == [expected]
 
 
 def test_the_loop_kernel_leaves_every_odd_coordinate_zero():
@@ -214,7 +216,7 @@ def test_the_loop_kernel_leaves_every_odd_coordinate_zero():
     for name, root in (("s2", 2), ("cpn:4", 1)):
         model = model_from_name(name)
         tangent = RootBundle(model, (root,) * model.top_index)
-        columns = _loop_inverse(tangent, 1, model.top_index + 1, 41)
+        columns = _loop_inverse(power_sums(tangent, 1, model.top_index + 1), 41)
         assert len(columns) == model.top_index + 1
         for k, column in enumerate(columns):
             assert len(column) == 41
@@ -242,6 +244,6 @@ def test_the_loop_recurrence_matches_division_at_order_60():
                            normal=loop_normal_decomposition(tangent, depth), F=F, order=order)
     assert localized_index(loop) == localized_index(explicit)
     scale = common_scale([tangent, *(b for _, b in F.terms)])
-    assert _loop_inverse(tangent, scale, 5, depth + 1) == _divide(
+    assert _loop_inverse(power_sums(tangent, scale, 5), depth + 1) == _divide(
         explicit.normal, scale, 5, depth + 1
     )
