@@ -21,7 +21,6 @@ from .charclasses import RootBundle
 from .cohomology import ManifoldModel, UnsupportedModel, model_from_name
 from .index import (
     DEFAULT_ORDER,
-    LOOP,
     DifferenceLine,
     EquivariantBundle,
     ProblemSpec,
@@ -125,8 +124,6 @@ def parse_problem(text: str) -> ProblemSpec:
     normal = top["normal"]
     if isinstance(normal, list):
         normal = NormalDecomposition(model, _weighted_bundles(normal, "normal", model))
-    elif normal != LOOP:
-        raise SchemaError("normal", 'expected "loop" or an array of weighted bundles')
 
     F = EquivariantBundle(model, _weighted_bundles(top["F"], "F", model))
 

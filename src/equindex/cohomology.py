@@ -52,7 +52,7 @@ def model_from_name(name: str) -> ManifoldModel:
         return ManifoldModel(f"sigma:{genus}", 1, genus=genus)
     if name.startswith("cpn:"):
         n = _parse_suffix(name, "cpn:", minimum=1)
-        return ManifoldModel(name, n)
+        return ManifoldModel(f"cpn:{n}", n)
     raise UnsupportedModel(f"unknown manifold model: {shorten(repr(name))}")
 
 
@@ -160,7 +160,8 @@ class CohRing(Record, CoefficientRing):
     """Cohomology classes of a fixed model as a series coefficient ring.
 
     Units are the classes with scalar part +-1 (everything above degree
-    zero is nilpotent, so a finite geometric sum inverts them exactly).
+    zero is nilpotent, so long division over the m + 1 entries inverts
+    them exactly).
     """
 
     _fields = ("model",)
@@ -187,17 +188,11 @@ class CohRing(Record, CoefficientRing):
         return scalar_class(self.model, value)
 
     def invert_unit(self, value: CohClass) -> CohClass:
-        value = self.coerce(value)
-        sign = value.scalar_part
-        if sign != 1 and sign != -1:
-            raise NotInvertible(f"class with scalar part {sign} is not a unit")
-        nil = value - scalar_class(self.model, sign)
-        # value = sign * (1 + sign * nil); invert with a finite geometric sum
-        total = self.one
-        power = self.one
-        for _ in range(self.model.top_index):
-            power = power * (-sign * nil)
-            if not power:
-                break
-            total = total + power
-        return sign * total
+        a = self.coerce(value).coeffs
+        if a[0] != 1 and a[0] != -1:
+            raise NotInvertible(f"class with scalar part {a[0]} is not a unit")
+        # long division, as QSeries.inverse, with a[0] its own inverse
+        b = [a[0]]
+        for n in range(1, len(a)):
+            b.append(-a[0] * sum(a[i] * b[n - i] for i in range(1, n + 1) if a[i]))
+        return CohClass(b)

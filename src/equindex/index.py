@@ -88,8 +88,8 @@ class ProblemSpec(Record):
             if normal.model != model:
                 raise ModelMismatch("normal data lives on a different model")
         elif normal != LOOP:
-            raise SchemaError("normal", f"must be a NormalDecomposition or {LOOP!r}, "
-                                        f"got {shorten(repr(normal))}")
+            raise SchemaError("normal", f'must be "{LOOP}" or an array of weighted bundles '
+                                        f"(a NormalDecomposition), got {shorten(repr(normal))}")
         if F.model != model:
             raise ModelMismatch("coefficient bundle lives on a different model")
         if type(order) is not int or order < 0:

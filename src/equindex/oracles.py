@@ -2,15 +2,17 @@
 
 Each oracle computes a quantity the engine also produces, but by a
 deliberately different algorithm: a counting DP instead of a product
-inversion, long division instead of Newton iteration or the kernels'
-division by each factor, a literal double sum instead of the fixed-point
-pipeline, ch(F) as a sum of exponential classes and the Todd class as a
-product of one factor per root instead of integer power sums, and the
-Euler class as a product of lambda factors (over the explicit loop
-decomposition for the loop family) instead of that division or the
-plethystic recurrence.  Agreement between the two routes
-is what the test suite leans on.  No solve imports this module; the
-package loads it on first use.
+inversion, term-by-term long division instead of the kernels' division
+by each factor, a literal double sum instead of the fixed-point pipeline,
+ch(F) as a sum of exponential classes and the Todd class as a product of
+one factor per root instead of integer power sums, and the Euler class as
+a product of lambda factors (over the explicit loop decomposition for the
+loop family) instead of that division or the plethystic recurrence.
+Agreement between the two routes is what the test suite leans on;
+``naive_inverse`` shares long division with ``QSeries.inverse``, which the
+inversion law (criterion 6) and the partition DP (criterion 5) check apart
+from the method.  No solve imports this module; the package loads it on
+first use.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ def partition_numbers(limit: int) -> PartitionTable:
 def naive_inverse(series: QSeries, order: int) -> QSeries:
     """Series inverse by long division, term by recursive term.
 
-    Independent of the engine's Newton iteration: coefficient n of
-    the inverse is read off directly from the convolution identity
-    a * b = 1 once coefficients 0..n-1 of b are known.
+    Coefficient n is read off the convolution identity a * b = 1 once
+    coefficients 0..n-1 of b are known: the method of ``QSeries.inverse``,
+    whose checks apart from the method are criteria 5 and 6.
     """
     if series.is_zero:
         raise NotInvertible("the zero series has no inverse")

@@ -357,12 +357,12 @@ class QSeries(Record):
         return QSeries._trusted(self.ring, self.lowest, self.coeffs, order)
 
     def inverse(self) -> "QSeries":
-        """Multiplicative inverse by Newton iteration at doubling precision.
+        """Multiplicative inverse by long division.
 
-        Writing the series as c * q^L * a with a(0) = 1, an inverse b of a
-        correct modulo q^k gives b - b(ab - 1), correct modulo q^(2k); the
-        result is c^(-1) * q^(-L) * b.  Requires the leading coefficient to
-        be a unit of the coefficient ring.
+        Writing the series as q^L * (a_0 + a_1 q + ...) with a_0 a unit of
+        the coefficient ring, the inverse is q^(-L) * (b_0 + b_1 q + ...)
+        with b_0 = a_0^(-1) and b_n = -a_0^(-1) * sum_(i=1..n) a_i b_(n-i);
+        only the nonzero a_i are visited.
 
         >>> str(QSeries(ZZ, 0, (1, -1), 4).inverse())
         '1 + q + q^2 + q^3 + q^4'
@@ -371,18 +371,19 @@ class QSeries(Record):
         """
         if self.is_zero:
             raise NotInvertible("the zero series has no inverse")
-        lead_inv = self.ring.invert_unit(self.coeffs[0])
+        ring = self.ring
+        lead_inv = ring.invert_unit(self.coeffs[0])
         work = self.order - self.lowest
-        unit = self.shift(-self.lowest).scale(lead_inv)  # a, with a(0) = 1
-        inverse = QSeries.one(self.ring, 0)
-        while inverse.order < work:
-            precision = min(2 * inverse.order + 1, work)
-            # the current inverse is an exact polynomial; only its error term
-            # ab - 1, of valuation above the old precision, limits the new one
-            inverse = QSeries._trusted(self.ring, 0, inverse.coeffs, precision)
-            error = unit.truncate(precision) * inverse - QSeries.one(self.ring, precision)
-            inverse = inverse - inverse * error
-        return inverse.scale(lead_inv).shift(-self.lowest)
+        terms = [(i, c) for i, c in enumerate(self.coeffs) if i and c]
+        window = [lead_inv]
+        for n in range(1, work + 1):
+            total = ring.zero
+            for i, c in terms:
+                if i > n:
+                    break
+                total = total + c * window[n - i]
+            window.append(-(lead_inv * total))
+        return QSeries._trusted(ring, -self.lowest, window, work - self.lowest)
 
     # -- rendering ----------------------------------------------------
 

@@ -268,6 +268,7 @@ RECORD_RULES = {
     "F[0].weight=0.5": (
         lambda: EquivariantBundle(S2, ((0.5, RootBundle(S2, (0,))),)),
         {"F": [{"weight": 0.5, "plus": [0]}]}),
+    "normal=5": (lambda: _ls2_spec(normal=5), {"normal": 5}),
     "L.sign=2": (lambda: DifferenceLine(2, 0), {"L": {"sign": 2, "weight": 0}}),
     "L.weight='3'": (lambda: DifferenceLine(1, "3"), {"L": {"sign": 1, "weight": "3"}}),
     "order=-3": (lambda: _ls2_spec(order=-3), {"order": -3}),
@@ -288,7 +289,7 @@ def test_one_rule_one_message(rule):
 
 
 def test_a_large_projective_space_exits_one_at_once(tmp_path):
-    # whatever the order, the Todd class of cpn:200 takes about 11 s and the power sums of
+    # whatever the order, the Todd class of cpn:200 takes about 0.7 s and the power sums of
     # the root 7 on cpn:50000 about 26 s: the dimension bound refuses before either starts
     path = tmp_path / "large.json"
     for n, root in ((101, 1), (1000, 1), (50_000, 7)):

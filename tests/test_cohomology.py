@@ -32,6 +32,8 @@ def test_model_presets():
     assert (sigma.top_index, sigma.genus) == (1, 5)
     cp3 = model_from_name("cpn:3")
     assert (cp3.top_index, cp3.genus) == (3, None)
+    assert model_from_name("cpn:03") == cp3
+    assert model_from_name("cpn:03").name == "cpn:3"
     with pytest.raises(ValueError, match="top cohomology index must be nonnegative"):
         ManifoldModel("bad", -1)
 
@@ -155,13 +157,14 @@ def test_unit_inversion_goldens():
 
 def test_unit_inversion_round_trip_randomized():
     rng = random.Random(41)
-    ring = CohRing(model_from_name("cpn:2"))
-    for _ in range(100):
-        unit = random_coh_class(rng, ring) + scalar_class(ring.model, 0)
-        entries = list(unit.coeffs)
-        entries[0] = rng.choice((1, -1))
-        unit = CohClass(entries)
-        assert unit * ring.invert_unit(unit) == ring.one
+    for n, count in [(n, 100) for n in range(1, 9)] + [(40, 1)]:
+        ring = CohRing(model_from_name(f"cpn:{n}"))
+        for _ in range(count):
+            unit = random_coh_class(rng, ring) + scalar_class(ring.model, 0)
+            entries = list(unit.coeffs)
+            entries[0] = rng.choice((1, -1))
+            unit = CohClass(entries)
+            assert unit * ring.invert_unit(unit) == ring.one
 
 
 def test_unit_class_helper():

@@ -242,6 +242,7 @@ def test_inverse_flips_the_lowest_exponent():
     assert inverse.lowest == 2
     assert inverse.order == 6 - 2 * (-2)
     assert_is_one(series * inverse, (series * inverse).order)
+    assert QSeries(ZZ, 3, (-1,), 3).inverse() == QSeries(ZZ, -3, (-1,), -3)
 
 
 def test_inverse_requires_a_unit_over_the_integers():
@@ -268,9 +269,12 @@ def test_inverse_round_trip_randomized():
 
 def test_inverse_agrees_with_long_division_oracle():
     rng = random.Random(31)
-    for case in range(80):
+    cp4 = CohRing(model_from_name("cpn:4"))
+    for case in range(120):
         series = (
-            random_zz_series(rng, 24) if case % 2 else random_coh_series(rng, 24)
+            random_zz_series(rng, 24) if case % 3 == 1
+            else random_coh_series(rng, 24) if case % 3 == 2
+            else random_coh_series(rng, 24, cp4)
         )
         engine = series.inverse()
         oracle = naive_inverse(series, engine.order)
