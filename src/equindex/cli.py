@@ -28,7 +28,7 @@ from .index import (
     preset_spec,
 )
 from .localization import NormalDecomposition
-from .series import SchemaError, as_fraction, render_series, shorten
+from .series import SchemaError, as_fraction, parse_int, render_series, shorten
 
 if TYPE_CHECKING:
     import argparse
@@ -140,9 +140,9 @@ def _build_parser() -> argparse.ArgumentParser:
     import argparse
 
     def order(text: str) -> int:
-        """int(text), with a refusal that quotes a bad value cut short, as argparse's does not."""
+        """parse_int(text), with a refusal that quotes a bad value cut short, unlike argparse."""
         try:
-            return int(text)
+            return parse_int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {shorten(repr(text))}") from None
 

@@ -12,7 +12,8 @@ import functools
 from fractions import Fraction
 from typing import Any, Iterable
 
-from .series import CoefficientRing, NotInvertible, Record, as_fraction, render_terms, shorten
+from .series import (CoefficientRing, NotInvertible, Record, as_fraction, parse_int, render_terms,
+                     shorten)
 
 
 class UnsupportedModel(ValueError):
@@ -59,7 +60,7 @@ def model_from_name(name: str) -> ManifoldModel:
 def _parse_suffix(name: str, prefix: str, minimum: int) -> int:
     text = name[len(prefix):]
     try:
-        value = int(text)
+        value = parse_int(text)
     except ValueError:
         raise UnsupportedModel(
             f"manifold parameter must be an integer: {shorten(repr(name))}") from None

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence, Union
 from .charclasses import RootBundle, VirtualBundle, merge_by_weight
 from .cohomology import ManifoldModel, ModelMismatch, UnsupportedModel, model_from_name
 from .localization import LOOP, NormalDecomposition, localized_index
-from .series import QSeries, Record, SchemaError, shorten
+from .series import QSeries, Record, SchemaError, parse_int, shorten
 
 
 class DifferenceLine(Record):
@@ -176,7 +176,7 @@ def preset_spec(name: str, order: int) -> ProblemSpec:
     """
     if name.startswith("cplane:"):
         try:
-            weight = int(name[len("cplane:"):])
+            weight = parse_int(name[len("cplane:"):])
         except ValueError:
             raise ValueError(
                 f"preset parameter must be an integer: {shorten(repr(name))}") from None

@@ -3,14 +3,17 @@
 The normal directions decompose into rotation-weight summands, and the
 equivariant Euler class is the product of the factors (1 - q^w e^(rx)), one per
 weight w and root r.  Two integer kernels compute its inverse without forming
-that product: explicit normal data divides the unit class by each factor in
-turn, and the loop-space family, a copy of the complexified tangent bundle at
-every weight, is a power of Euler's product times a normalised tower, whose
-recurrence costs the same for any number of tangent roots.  The fixed-point
-integral, ``localized_index``, is the one place where ch(F) and the Todd
-functional meet either kernel's columns, read at one scale D through
-``charclasses.power_sums``.  The product itself and the explicit loop
-decomposition live in ``oracles`` as cross-checks.
+that product.  Explicit normal data divides the unit class by each factor in
+turn, on one big integer per coordinate whose W-bit slots hold the coefficients
+of q^0, q^1, ... (Kronecker substitution): W is one bit past an a-priori bound,
+C(N + R - 2, R - 1) max(1, (N - 1) max|rD|/w)^m for R visible roots through
+q^(N-1), proved in ``_divide``.  The loop-space family, a copy of the
+complexified tangent bundle at every weight, is a power of Euler's product
+times a normalised tower, whose recurrence costs the same for any number of
+tangent roots.  The fixed-point integral, ``localized_index``, is the one place
+where ch(F) and the Todd functional meet either kernel's columns, read at one
+scale D through ``charclasses.power_sums``.  The product itself and the
+explicit loop decomposition live in ``oracles`` as cross-checks.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ if TYPE_CHECKING:
 LOOP = "loop"  # marker for the loop-space normal family
 MAX_KERNEL_WORK = 10**8  # estimated integer steps of one solve; see _check_work
 MAX_TOP_INDEX = 100  # largest dimension m a solve takes: the Todd class's integers grow with m
+_SLOT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}  # memoryview formats of the signed slots
 
 
 class WeightError(ValueError):
@@ -168,24 +172,71 @@ def _divide(decomposition: NormalDecomposition, scale: int, size: int,
     For ascending k the terms j >= 1 read finished columns shifted by w, and
     the term j = 0 leaves a prefix sum with stride w.  The division starts
     from the unit class.
+
+    A column is one integer, its value at q = 2^W modulo 2^(length W), with the
+    coefficient of q^n in the W-bit slot n (Kronecker substitution).  The factor
+    q^w is a shift by wW bits, and the stride-w prefix sum, the factor
+    sum_i q^(iw), is the doublings acc += acc << d for d = wW, 2wW, ... below
+    length W.  These are ring maps from Z[q]/(q^length), so each column is exact
+    whatever its slots hold on the way, and only the final coefficients must fit
+    a signed W-bit slot.  They do: coordinate k at q^n is the sum of
+    (sum_i m_i r_i D)^k over the multiplicities m_i >= 0 of the R visible roots
+    with sum_i m_i w_i = n.  There are at most C(n + R - 1, R - 1) of them, as
+    m_1..m_(R-1) sum to at most n and fix m_R.  Each base is an integer of size
+    at most sum_i m_i w_i |r_i D|/w_i <= n max |rD|/w, so at most the floor B of
+    (length - 1) max |rD|/w, and |b_k[n]| <= C(length + R - 2, R - 1) max(1, B)^(size - 1).
+    That is below 2^(W-1) once W is a bit longer than the bound; W is then
+    rounded up to 8, 16, 32 or 64 bits, for ``_unpack``, and past 64 to whole bytes.
     """
-    visible = [(w, b) for w, b in decomposition.components if w < length]  # the rest give 1
-    columns = [[0] * length for _ in range(size)]
-    if length:
-        columns[0][0] = 1
-    for weight, bundle in visible:
-        for root in bundle.plus_roots:
-            step = root.numerator * (scale // root.denominator)
-            powers = list(accumulate(repeat(step, size - 1), operator.mul, initial=1))
-            for k, column in enumerate(columns):
-                for j in range(1, k + 1):
-                    c = math.comb(k, j) * powers[j]
-                    if c:
-                        column[weight:] = map(operator.add, column[weight:],
-                                              map(operator.mul, columns[k - j], repeat(c)))
-                for r in range(weight):
-                    column[r::weight] = accumulate(column[r::weight])
-    return columns
+    steps = []  # (w, rD) for each visible root; the rest give 1
+    base = 0
+    for weight, bundle in decomposition.components:
+        if weight < length:
+            for root in bundle.plus_roots:
+                step = root.numerator * (scale // root.denominator)
+                steps.append((weight, step))
+                base = max(base, (length - 1) * abs(step) // weight)
+    multisets = math.comb(length + len(steps) - 2, len(steps) - 1) if steps else 1
+    bits = (multisets * max(base, 1) ** (size - 1)).bit_length() + 1
+    width = max(8, 1 << (bits - 1).bit_length())
+    if width > 64:
+        width = -(-bits // 8) * 8
+    total = length * width
+    mask = (1 << total) - 1
+    binomials = [[math.comb(k, j) for j in range(1, k + 1)] for k in range(size)]
+    columns = [1] + [0] * (size - 1)
+    for weight, step in steps:
+        shift = weight * width
+        powers = list(accumulate(repeat(step, size - 1), operator.mul))
+        for k, row in enumerate(binomials):
+            acc = columns[k]
+            if k:
+                acc += sum(map(operator.mul, map(operator.mul, row, powers),
+                               columns[k - 1::-1])) << shift
+            d = shift
+            while d < total:
+                acc += acc << d
+                d += d
+            columns[k] = acc & mask
+    return [_unpack(column, width, length) for column in columns]
+
+
+def _unpack(packed: int, width: int, length: int) -> list[int]:
+    """The signed width-bit slots of ``packed`` modulo 2^(length width), lowest first.
+
+    Adding 2^(width-1) to every slot makes each one nonnegative, so that no slot
+    borrows from the next; flipping that bit back leaves each slot in two's
+    complement, read by a ``memoryview`` cast up to 64 bits on a little-endian
+    host and by ``int.from_bytes`` otherwise.  The width is a multiple of 8.
+    """
+    nbytes = width // 8
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * length, "little")
+    slots = ((packed + bias) & ((1 << length * width) - 1)) ^ bias
+    data = slots.to_bytes(nbytes * length, "little")
+    if width <= 64 and sys.byteorder == "little":
+        return memoryview(data).cast(_SLOT_FORMATS[nbytes]).tolist()
+    return [int.from_bytes(data[i:i + nbytes], "little", signed=True)
+            for i in range(0, len(data), nbytes)]
 
 
 def _loop_inverse(sums: list[int], length: int) -> list[list[int]]:

@@ -115,6 +115,17 @@ def shorten(text: str) -> str:
     return text if len(text) <= 60 else text[:60] + "..."
 
 
+def parse_int(text: str) -> int:
+    """The integer written as an optional sign and ASCII digits; ValueError for other text.
+
+    ``int`` alone would also take underscores, surrounding whitespace and non-ASCII
+    digits; a second sign passes the test here and ``int`` refuses it.
+    """
+    if not (text.isascii() and text.lstrip("+-").isdigit()):
+        raise ValueError(f"not a decimal integer: {shorten(repr(text))}")
+    return int(text)
+
+
 class SchemaError(ValueError):
     """A problem value that breaks the input schema, named by its JSON path."""
 

@@ -486,6 +486,26 @@ def test_module_run_meets_no_import_warning():
     assert (result.returncode, result.stdout, result.stderr) == (0, "1 + 2q + 5q^2 + 10q^3\n", "")
 
 
+def test_integers_in_text_are_plain_ascii_decimals(tmp_path):
+    # int() alone takes "1_0" as 10, strips whitespace and reads non-ASCII digits
+    for order in ("1_0", " 5", "５"):
+        result = run_cli("--preset", "cplane:1", "--order", order)
+        assert result.returncode == 2
+        assert result.stderr.endswith(f"argument --order: invalid int value: {order!r}\n")
+    for preset, message in (("cplane:1_0", "preset parameter must be an integer"),
+                            ("lsigma:1_0", "genus must be a nonnegative integer")):
+        result = run_cli("--preset", preset)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == f"equindex: {message}: {preset!r}\n"
+    path = tmp_path / "problem.json"
+    for name in ("cpn:1_0", "cpn: 3", "cpn:２"):
+        path.write_text(json.dumps({**LS2_DOC, "manifold": name}))
+        result = run_cli("--input", str(path))
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == (
+            f"equindex: manifold: manifold parameter must be an integer: {name!r}\n")
+
+
 def test_negative_order_flag_is_rejected(tmp_path):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(LS2_DOC))

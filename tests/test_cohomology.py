@@ -42,6 +42,12 @@ def test_model_names_are_validated():
     for bad in ("torus", "sigma:-1", "sigma:x", "cpn:0", "CPN:2", "s²"):
         with pytest.raises(UnsupportedModel):
             model_from_name(bad)
+    # only a sign and ASCII digits: not "1_0", padding or other scripts' digits
+    for bad in ("cpn:1_0", "cpn: 3", "cpn:3 ", "cpn:２", "sigma:1_0", "sigma:٣", "cpn:", "cpn:+",
+                "cpn:+-3"):
+        with pytest.raises(UnsupportedModel, match="^manifold parameter must be an integer: "):
+            model_from_name(bad)
+    assert model_from_name("cpn:+3") == model_from_name("cpn:3")
 
 
 def test_models_with_different_names_differ():

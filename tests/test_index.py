@@ -354,6 +354,12 @@ def test_unknown_presets_are_rejected():
     for bad in ("ls3", "cplane:0", "cplane:x", "lsigma:-1", ""):
         with pytest.raises(ValueError):
             preset_spec(bad, 4)
+    for bad in ("cplane:1_0", "cplane: 2", "cplane:２", "cplane:-_3"):
+        with pytest.raises(ValueError, match="^preset parameter must be an integer: "):
+            preset_spec(bad, 4)
+    for bad in ("lsigma:1_0", "lsigma:٢", "lsigma:1 "):
+        with pytest.raises(ValueError, match="^genus must be a nonnegative integer: "):
+            preset_spec(bad, 4)
 
 
 ROOTS = st.sampled_from(

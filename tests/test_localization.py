@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equindex import (
@@ -34,10 +34,12 @@ from equindex import (
     partition_numbers,
     preset_spec,
 )
+from equindex import localization
 from equindex.localization import (
     MAX_KERNEL_WORK,
     MAX_TOP_INDEX,
     _check_work,
+    _unpack,
     localized_index,
 )
 from equindex.oracles import todd_product
@@ -212,6 +214,76 @@ def test_inverse_euler_class_is_long_division_of_the_euler_class(case):
     assert inverse_euler_class(decomposition, order) == naive_inverse(
         euler_class(decomposition, order), order
     )
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 96])
+def test_unpack_round_trips_signed_slots(width):
+    rng = random.Random(width)
+    half = 1 << (width - 1)
+    for length in (0, 1, 2, 7, 40):
+        # 2^(W-1) - 1, -2^(W-1), ±2^(W-2), 0 and -1
+        edges = [half - 1, -half, half // 2, -(half // 2), 0, -1]
+        slots = [rng.choice(edges) if rng.random() < 0.3 else rng.randrange(-half, half)
+                 for _ in range(length)]
+        value = sum(slot << (n * width) for n, slot in enumerate(slots))
+        # the kernel's residue modulo 2^(length W) and the signed integer itself
+        assert _unpack(value % (1 << length * width), width, length) == slots
+        assert _unpack(value, width, length) == slots
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 72])
+def test_the_slot_width_holds_the_bound_when_it_is_reached(width, sign):
+    # one root s at weight 1 gives 1/(1 - q e^(sx)) = sum_n q^n (1 + n s x): through q^15 the
+    # bound 15 |s| of the x-coordinate is reached, here at 2^W - 1, one bit short of a W-bit slot
+    s = sign * ((1 << width) - 1) // 15
+    decomposition = NormalDecomposition(S2, ((1, RootBundle(S2, (s,))),))
+    out = inverse_euler_class(decomposition, 15)
+    assert [out.coefficient(n) for n in range(16)] == [CohClass((1, n * s)) for n in range(16)]
+
+
+@st.composite
+def wide_decompositions(draw):
+    """Up to 8 roots of up to about 2^20 at weight 1, more at higher weights, m up to 6 and
+    orders up to 40, so that the slots of the division kernel pass 64 bits."""
+    order = draw(st.integers(0, 40))
+    model = model_from_name(draw(st.sampled_from(
+        ["point", "s2", "sigma:3", "cpn:2", "cpn:3", "cpn:4", "cpn:5", "cpn:6"])))
+    roots = st.builds(Fraction, st.integers(-(2**20), 2**20), st.sampled_from((1, 2, 3, 4, 6)))
+    components = [(1, draw(st.lists(roots, max_size=8)))] + draw(
+        st.lists(st.tuples(st.integers(2, order + 3), st.lists(roots, max_size=3)), max_size=2))
+    return NormalDecomposition(
+        model, [(weight, RootBundle(model, roots)) for weight, roots in components]), order
+
+
+def _single(name: str, root: int, order: int):
+    model = model_from_name(name)
+    return NormalDecomposition(model, ((1, RootBundle(model, (root,))),)), order
+
+
+def test_the_division_kernel_agrees_with_long_division_at_every_slot_width(monkeypatch):
+    widths = set()
+
+    def unpack(packed, width, length):
+        widths.add(min(width, 72))  # 72 stands for every width past a machine word
+        return _unpack(packed, width, length)
+
+    monkeypatch.setattr(localization, "_unpack", unpack)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_decompositions())
+    @example(_single("point", 1, 40))  # slots of 8 bits
+    @example(_single("s2", 100, 40))  # 16 bits
+    @example(_single("s2", 2**20, 40))  # 32 bits
+    @example(_single("cpn:2", -(2**20), 40))  # 64 bits
+    @example(_single("cpn:6", 2**20, 40))  # past 64 bits
+    def agrees(case):
+        decomposition, order = case
+        assert inverse_euler_class(decomposition, order) == naive_inverse(
+            euler_class(decomposition, order), order)
+
+    agrees()
+    assert widths == {8, 16, 32, 64, 72}
 
 
 @st.composite
