@@ -12,8 +12,8 @@ import functools
 from fractions import Fraction
 from typing import Any, Iterable
 
-from .series import (CoefficientRing, NotInvertible, Record, as_fraction, parse_int, render_terms,
-                     shorten)
+from .series import (QQ, CoefficientRing, NotInvertible, QSeries, Record, as_fraction, parse_int,
+                     render_terms, shorten)
 
 
 class UnsupportedModel(ValueError):
@@ -192,8 +192,6 @@ class CohRing(Record, CoefficientRing):
         a = self.coerce(value).coeffs
         if a[0] != 1 and a[0] != -1:
             raise NotInvertible(f"class with scalar part {a[0]} is not a unit")
-        # long division, as QSeries.inverse, with a[0] its own inverse
-        b = [a[0]]
-        for n in range(1, len(a)):
-            b.append(-a[0] * sum(a[i] * b[n - i] for i in range(1, n + 1) if a[i]))
-        return CohClass(b)
+        # x^(m+1) = 0, so the entries are those of the series a_0 + a_1 q + ... + a_m q^m
+        inverse = QSeries._trusted(QQ, 0, a, len(a) - 1).inverse()
+        return CohClass(inverse.coefficient(k) for k in range(len(a)))

@@ -9,11 +9,12 @@ of q^0, q^1, ... (Kronecker substitution): W is one bit past an a-priori bound,
 C(N + R - 2, R - 1) max(1, (N - 1) max|rD|/w)^m for R visible roots through
 q^(N-1), proved in ``_divide``.  The loop-space family, a copy of the
 complexified tangent bundle at every weight, is a power of Euler's product
-times a normalised tower, whose recurrence costs the same for any number of
-tangent roots.  The fixed-point integral, ``localized_index``, is the one place
-where ch(F) and the Todd functional meet either kernel's columns, read at one
-scale D through ``charclasses.power_sums``.  The product itself and the
-explicit loop decomposition live in ``oracles`` as cross-checks.
+times a normalised tower, the divided-power exponential of divisor-sum series,
+whose cost does not grow with the number of tangent roots.  The fixed-point
+integral, ``localized_index``, is the one place where ch(F) and the Todd
+functional meet either kernel's columns, read at one scale D through
+``charclasses.power_sums``.  The product itself and the explicit loop
+decomposition live in ``oracles`` as cross-checks.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from itertools import accumulate, count, repeat
+from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, Iterable
 
 from .charclasses import (RootBundle, VirtualBundle, common_scale, merge_by_weight, power_sums,
@@ -240,23 +241,18 @@ def _unpack(packed: int, width: int, length: int) -> list[int]:
 
 
 def _loop_inverse(sums: list[int], length: int) -> list[list[int]]:
-    """What ``_divide`` returns for the loop normal data, from a plethystic exponential.
+    """What ``_divide`` returns for the loop normal data, as a divided-power exponential.
 
     With rho over the tangent roots and their negatives, 1/eul is the product of
-    1/(1 - q^w e^(rho x)) over w >= 1, that is b = exp(sum a_n q^n), where coordinate k of
-    n a_n is P_k * sum over j | n of (n/j) j^k, for the power sum P_k = sum_rho (rho D)^k,
-    twice ``sums``, the tangent's ``power_sums``, at even k; b has one coordinate per sum.
-
-    Coordinate 0 of n a_n is r sigma_1(n) for r = P_0, so b = g c for g = prod (1 - q^n)^(-r)
-    and the normalised tower c = exp(the rest), with c_0 = 1; b_0 = g is all a surface needs.
-    By Euler's pentagonal number theorem prod (1 - q^n) = sum_(k in Z) (-1)^k q^(k(3k - 1)/2),
-    and by J. C. P. Miller's recurrence (TAOCP 4.7) n g_n = sum_p ((1 - r) p - n) E_p g_(n-p).
-    The coordinates of c_n are integers, so n c_n = sum_k (k a_k) c_(n-k) is exact at t >= 2,
-    and its cost does not grow with the number of roots.
-
-    The roots come in pairs rho, -rho, so P_k = 0 for odd k and b is even in x: an even
-    coordinate t of c_n reads only even coordinates of a and c, and an odd one, 0 at n = 0,
-    stays 0.  So the recurrence runs on the even coordinates alone.
+    1/(1 - q^w e^(rho x)) over w >= 1, that is b = exp(sum_k A_k y^k/k!) for the q-series
+    A_k = P_k sum_n sigma_(k-1)(n) q^n and P_k = sum_rho (rho D)^k, twice the tangent's
+    ``sums`` at even k and 0 at odd k; b has one coordinate per sum.  A_0 gives the factor
+    g = prod (1 - q^n)^(-r) for r = P_0, from Euler's pentagonal number theorem
+    prod (1 - q^n) = sum_(k in Z) (-1)^k q^(k(3k - 1)/2) and J. C. P. Miller's recurrence
+    (TAOCP 4.7) n g_n = sum_p ((1 - r) p - n) E_p g_(n-p); b_0 = g is all a surface needs.
+    The rest is ``todd_functional``'s exponential over whole integer q-series, the tower
+    C_0 = 1, C_t = sum_(k=1..t) C(t-1, k-1) A_k C_(t-k), which divides nothing, costs the
+    same for any number of roots, and vanishes at odd t, as A_t does; then b_t = g C_t.
     """
     size = len(sums)
     r = 2 * sums[0]
@@ -272,24 +268,23 @@ def _loop_inverse(sums: list[int], length: int) -> list[list[int]]:
         g[n], remainder = divmod(ng, n)
         if remainder:
             raise ArithmeticError(f"power of Euler's product is not integral at q^{n}")
-    # column storage at even k >= 2: a[k][n] is coordinate k of n a_n, c[k][n] that of c_n
-    a = {k: [0] * length for k in range(2, size, 2)}
-    for k, column in a.items():
-        for j in range(1, length):
-            term = 2 * sums[k] * j**k  # weight j adds (n/j) j^k P_k to n a_n at n = j, 2j, ...
-            column[j::j] = map(operator.add, column[j::j], count(term, term))
-    c = {k: [0] * length for k in a}
-    rows = [(c[t], a[t], [(math.comb(t, i), a[i], c[t - i]) for i in range(2, t, 2) if any(a[i])])
-            for t in c]
-    for n in range(1, length):
-        for row, own, products in rows:
-            nc = own[n]  # n c_n, from the product a_t c_0, as c_0 = 1
-            for binomial, a_i, c_rest in products:
-                nc += binomial * sum(map(operator.mul, a_i[1:n + 1], c_rest[n - 1::-1]))
-            row[n], remainder = divmod(nc, n)
-            if remainder:
-                raise ArithmeticError(f"plethystic recurrence is not integral at q^{n}")
+    a = {}  # A_k at even k >= 2
+    for k in range(2, size, 2):
+        a[k] = column = [0] * length
+        for j in range(1, length):  # j | n adds j^(k-1) to sigma_(k-1)(n) at n = j, 2j, ...
+            column[j::j] = map(operator.add, column[j::j], repeat(2 * sums[k] * j**(k - 1)))
     b = [g] + [[0] * length for _ in range(1, size)]
-    for t, tower in c.items():  # b_t = g c_t, where c_t vanishes at q^0
-        b[t][1:] = [sum(map(operator.mul, tower[1:n + 1], g[n - 1::-1])) for n in range(1, length)]
+    c = {}  # C_t at even t >= 2, which vanishes at q^0
+    for t, tower in a.items():  # the term k = t is A_t, as C_0 = 1
+        for k in range(2, t, 2):
+            if sums[k]:
+                binomial = math.comb(t - 1, k - 1)
+                tower = [x + binomial * y for x, y in zip(tower, _product(a[k], c[t - k]))]
+        c[t] = tower
+        b[t] = _product(tower, g)
     return b
+
+
+def _product(a: list[int], b: list[int]) -> list[int]:
+    """The coefficients of q^0..q^(len(a)-1) of a b, for integer lists with a[0] = 0."""
+    return [sum(map(operator.mul, a[1:n + 1], b[n - 1::-1])) for n in range(len(a))]

@@ -13,11 +13,15 @@ truncation windows.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Mapping
 
 Scalar = Any  # a coefficient-ring element: int, Fraction, or a class supplied by the ring
+# the text ``as_fraction`` reads: a sign and ASCII digits, as "p/q" or as a decimal
+_RATIONAL_TEXT = re.compile(r"[-+]?(?:\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE]([-+]?\d+))?)",
+                            re.ASCII)
 
 
 class NotInvertible(ArithmeticError):
@@ -101,7 +105,7 @@ class IntegerRing(CoefficientRing):
         if isinstance(value, Fraction) and value.denominator == 1:
             return int(value)
         if isinstance(value, str):
-            return int(value)
+            return parse_int(value)
         raise ValueError(f"not an exact integer: {value!r}")
 
     def invert_unit(self, value: int) -> int:
@@ -137,10 +141,11 @@ class SchemaError(ValueError):
 def as_fraction(value: Any) -> Fraction:
     """The one exact rational coercion: ints, Fractions and "p/q" strings.
 
-    Floats and booleans are refused, since neither is an exact rational.
-    A string's decimal exponent may not pass the interpreter's limit on the
-    digits of an integer in text: ``Fraction("1e10000000")`` would build
-    10^(10^7) before any later guard could refuse it.
+    Floats and booleans are refused, since neither is an exact rational.  A string is a
+    sign and ASCII digits, "p/q" or a decimal such as "0.5" or "1e-4" (``Fraction`` alone
+    would also take underscores, whitespace and other scripts' digits), with a decimal
+    exponent at most the interpreter's limit on the digits of an integer in text:
+    ``Fraction("1e10000000")`` would build 10^(10^7) before any later guard could refuse it.
     """
     if type(value) is Fraction:
         return value
@@ -151,15 +156,15 @@ def as_fraction(value: Any) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        match = _RATIONAL_TEXT.fullmatch(value)
         limit = sys.get_int_max_str_digits()  # 0 when the interpreter sets none
         try:
-            exponent = abs(int(value.lower().partition("e")[2] or 0))
-            if not limit or exponent <= limit:
+            if match and (not limit or abs(int(match[1] or 0)) <= limit):
                 return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"not a rational: {shorten(repr(value))}") from None
-        raise ValueError(
-            f"not a rational: {shorten(repr(value))} has a decimal exponent past {limit}")
+            match = None
+        past = f" has a decimal exponent past {limit}" if match else ""
+        raise ValueError(f"not a rational: {shorten(repr(value))}{past}")
     raise ValueError(f"expected an exact rational, got {type(value).__name__}")
 
 

@@ -27,6 +27,7 @@ from equindex import (
     UnsupportedModel,
     VirtualBundle,
     WeightError,
+    ZZ,
     cplane_spec,
     localized_index,
     model_from_name,
@@ -504,6 +505,15 @@ def test_integers_in_text_are_plain_ascii_decimals(tmp_path):
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr == (
             f"equindex: manifold: manifold parameter must be an integer: {name!r}\n")
+    # Fraction() alone takes the same, and whitespace around a root
+    for root in ("1_0", " 1/2 ", "１/２", "٣"):
+        path.write_text(json.dumps({**LS2_DOC, "tangent": {"plus": [root]}}))
+        result = run_cli("--input", str(path))
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == f"equindex: tangent.plus[0]: not a rational: {root!r}\n"
+    for coefficient in ("1_0", " 2 ", "３"):
+        with pytest.raises(ValueError, match="not a decimal integer"):
+            QSeries.from_json(ZZ, {"lowest": 0, "order": 2, "coeffs": ["1", coefficient]})
 
 
 def test_negative_order_flag_is_rejected(tmp_path):

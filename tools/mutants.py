@@ -16,7 +16,8 @@ indentation), runs ``python -m pytest -q -x --continue-on-collection-errors``
 there, and puts the file back.  A mutant is killed when the suite fails, and
 the report names the first failing test; it survives when the suite passes.
 A mutant whose old line is missing or repeated is stale and is reported as
-such.  The exit code is 1 if any mutant survived or is stale, else 0.
+such; ``tests/test_mutants.py`` checks that in Tier-1, without running any
+mutant.  The exit code is 1 if any mutant survived or is stale, else 0.
 Only the standard library is used; the suite needs pytest and hypothesis.
 """
 
