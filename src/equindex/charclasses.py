@@ -19,7 +19,9 @@ from itertools import accumulate, repeat
 from typing import Any, Iterable, Sequence
 
 from .cohomology import CohClass, ManifoldModel, ModelMismatch
-from .series import Record, as_fraction
+from .series import Record, as_fraction, shorten
+
+MAX_TOP_INDEX = 100  # largest dimension m taken: the Todd functional's integers grow with m
 
 
 class VirtualBundle(ValueError):
@@ -141,15 +143,21 @@ def todd_functional(sums: Sequence[int], scale: int) -> tuple[int, list[int]]:
     return total // divisor, [v // divisor for v in functional]
 
 
+def check_dimension(model: ManifoldModel) -> None:
+    """Refuse a manifold of dimension m past MAX_TOP_INDEX, whose Todd functional grows with m."""
+    if model.top_index > MAX_TOP_INDEX:
+        raise ValueError(f"manifold: {shorten(repr(model.name))} has dimension past the bound "
+                         f"{MAX_TOP_INDEX}; its Todd class would take too long")
+
+
 def todd_class(bundle: RootBundle) -> CohClass:
-    """td = product over roots of rx / (1 - e^(-rx)); the root 0 contributes 1.
+    """td(plus) / td(minus), td = product over roots of rx / (1 - e^(-rx)); the root 0 gives 1.
 
     >>> from equindex import model_from_name
     >>> str(todd_class(RootBundle(model_from_name("cpn:4"), (1,))))
     '1 + 1/2x + 1/12x^2 - 1/720x^4'
     """
-    if not bundle.is_genuine:
-        raise VirtualBundle("the Todd class needs a genuine bundle (no minus roots)")
+    check_dimension(bundle.model)
     scale = common_scale([bundle])
     common, w = todd_functional(power_sums(bundle, scale, bundle.model.top_index + 1), scale)
     # the x^(m-k) entry of td is the integral of x^k td = k! D^k y^k/k! td, so k! D^k w_k/common

@@ -114,16 +114,9 @@ class CohClass(Record):
     def __mul__(self, other: Any) -> "CohClass":
         if isinstance(other, CohClass):
             self._check_length(other)
+            # x^(m+1) = 0, so the product is that of two series cut past q^m
             size = len(self.coeffs)
-            out = [Fraction(0)] * size
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j in range(size - i):
-                    b = other.coeffs[j]
-                    if b != 0:
-                        out[i + j] += a * b
-            return CohClass(out)
+            return CohClass(QSeries._truncated_product(self.coeffs, other.coeffs, size, QQ.zero))
         scalar = as_fraction(other)
         return CohClass(scalar * a for a in self.coeffs)
 

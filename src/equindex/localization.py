@@ -26,8 +26,8 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, Iterable
 
-from .charclasses import (RootBundle, VirtualBundle, common_scale, merge_by_weight, power_sums,
-                          todd_functional)
+from .charclasses import (MAX_TOP_INDEX, RootBundle, VirtualBundle, check_dimension, common_scale,
+                          merge_by_weight, power_sums, todd_functional)
 from .cohomology import CohClass, CohRing, ManifoldModel
 from .series import QQ, QSeries, Record, shorten
 
@@ -36,7 +36,6 @@ if TYPE_CHECKING:
 
 LOOP = "loop"  # marker for the loop-space normal family
 MAX_KERNEL_WORK = 10**8  # estimated integer steps of one solve; see _check_work
-MAX_TOP_INDEX = 100  # largest dimension m a solve takes: the Todd class's integers grow with m
 _SLOT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}  # memoryview formats of the signed slots
 
 
@@ -80,7 +79,7 @@ def inverse_euler_class(decomposition: NormalDecomposition, order: int) -> QSeri
     coefficients = [
         CohClass([Fraction(c, d) for c, d in zip(row, denominators)]) for row in zip(*columns)
     ]
-    return QSeries(CohRing(model), 0, coefficients, order)
+    return QSeries._trusted(CohRing(model), 0, coefficients, order)
 
 
 def localized_index(spec: ProblemSpec) -> QSeries:
@@ -95,9 +94,7 @@ def localized_index(spec: ProblemSpec) -> QSeries:
     """
     tangent, normal, line = spec.tangent, spec.normal, spec.L
     model = tangent.model
-    if model.top_index > MAX_TOP_INDEX:  # before any power sum or Todd coefficient is built
-        raise ValueError(f"manifold: {shorten(repr(model.name))} has dimension past the bound "
-                         f"{MAX_TOP_INDEX}; its Todd class would take too long")
+    check_dimension(model)
     size = model.top_index + 1
     bundles = [tangent, *(b for _, b in spec.F.terms)]
     if normal != LOOP:
@@ -143,10 +140,10 @@ def _check_work(normal: NormalDecomposition | str, length: int, size: int,
 
     The estimate is (length * (terms + 1) + 1) * size^2 integer products, each a step per
     Python digit of the widest integer, about m log2 |rD| bits for the widest root r.  Per
-    coefficient of the window, a division has a term per normal root, the loop tower
-    (size >= 3) one per earlier coefficient, and a surface's loop kernel two per pentagonal
-    number of Miller's recurrence, about sqrt(8 length / 3); the columns and the integral
-    cost about one term more, and the Todd recurrence about size^2 products.
+    coefficient of the window, a division has a term per normal root, the loop tower (size >= 3)
+    is charged length - 1, about 16 times the whole-series products it makes, and a surface's
+    loop kernel two per pentagonal number of Miller's recurrence, about sqrt(8 length / 3); the
+    columns and the integral cost about one term more, and the Todd recurrence size^2 products.
     """
     if normal != LOOP:
         terms = sum(len(b.plus_roots) for w, b in normal.components if w < length)

@@ -7,7 +7,7 @@ by each factor, a literal double sum instead of the fixed-point pipeline,
 ch(F) as a sum of exponential classes and the Todd class as a product of
 one factor per root instead of integer power sums, and the Euler class as
 a product of lambda factors (over the explicit loop decomposition for the
-loop family) instead of that division or the plethystic recurrence.
+loop family) instead of that division or the loop tower's exponential.
 Agreement between the two routes is what the test suite leans on;
 ``naive_inverse`` shares long division with ``QSeries.inverse``, which the
 inversion law (criterion 6) and the partition DP (criterion 5) check apart

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 Scalar = Any  # a coefficient-ring element: int, Fraction, or a class supplied by the ring
 # the text ``as_fraction`` reads: a sign and ASCII digits, as "p/q" or as a decimal
@@ -237,6 +237,23 @@ class QSeries(Record):
         series._normalise(ring, lowest, window, order)
         return series
 
+    @staticmethod
+    def _truncated_product(a: Sequence, b: Sequence, size: int, zero: Scalar) -> list:
+        """Entries 0..size-1 of the product of two coefficient lists, of series or of classes."""
+        # zero tests cost a pass over a class on H(M): once per operand entry, not per pair
+        mine = [(i, c) for i, c in enumerate(a[:size]) if c]
+        theirs = [(j, c) for j, c in enumerate(b[:size]) if c]
+        window: list = [None] * size
+        for i, c1 in mine:
+            for j, c2 in theirs:
+                k = i + j
+                if k >= size:
+                    break
+                value = c1 * c2
+                acc = window[k]
+                window[k] = value if acc is None else acc + value
+        return [zero if value is None else value for value in window]
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -287,9 +304,7 @@ class QSeries(Record):
 
     def _check_ring(self, other: "QSeries") -> None:
         if self.ring is not other.ring and self.ring != other.ring:
-            raise ValueError(
-                f"coefficient ring mismatch: {self.ring!r} vs {other.ring!r}"
-            )
+            raise ValueError(f"coefficient ring mismatch: {self.ring.name} vs {other.ring.name}")
 
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
@@ -328,20 +343,7 @@ class QSeries(Record):
         order = min(self.order + other.lowest, other.order + self.lowest)
         lowest = self.lowest + other.lowest
         size = max(min(len(self.coeffs) + len(other.coeffs) - 1, order - lowest + 1), 0)
-        # zero tests cost a pass over a class on H(M): once per operand term, not per pair
-        mine = [(i, c) for i, c in enumerate(self.coeffs[:size]) if c]
-        theirs = [(j, c) for j, c in enumerate(other.coeffs[:size]) if c]
-        window: list = [None] * size
-        for i, c1 in mine:
-            for j, c2 in theirs:
-                k = i + j
-                if k >= size:
-                    break
-                value = c1 * c2
-                acc = window[k]
-                window[k] = value if acc is None else acc + value
-        zero = ring.zero
-        window = [zero if value is None else value for value in window]
+        window = QSeries._truncated_product(self.coeffs, other.coeffs, size, ring.zero)
         return QSeries._trusted(ring, lowest, window, order)
 
     def __rmul__(self, other: Any) -> "QSeries":

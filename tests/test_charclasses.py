@@ -182,9 +182,17 @@ def test_todd_class_is_multiplicative():
         assert todd_class(a.direct_sum(b)) == todd_class(a) * todd_class(b)
 
 
-def test_todd_class_needs_a_genuine_bundle():
-    with pytest.raises(VirtualBundle):
-        todd_class(RootBundle(S2, (2,), (0,)))
+def test_todd_class_of_a_virtual_bundle_is_a_quotient():
+    # power_sums subtract the minus roots, so td(plus - minus) = td(plus) / td(minus);
+    # the per-root product takes genuine bundles only
+    rng = random.Random(31)
+    for _ in range(400):
+        model = model_from_name(f"cpn:{rng.randint(1, 8)}")
+        plus, minus = ([Fraction(rng.randint(-7, 7), rng.randint(1, 12))
+                        for _ in range(rng.randint(0, 4))] for _ in range(2))
+        quotient = CohRing(model).invert_unit(todd_product(RootBundle(model, minus)))
+        expected = todd_product(RootBundle(model, plus)) * quotient
+        assert todd_class(RootBundle(model, plus, minus)) == expected
     with pytest.raises(VirtualBundle):
         todd_product(RootBundle(S2, (2,), (0,)))
 

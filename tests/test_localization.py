@@ -33,6 +33,7 @@ from equindex import (
     naive_inverse,
     partition_numbers,
     preset_spec,
+    todd_class,
 )
 from equindex import localization
 from equindex.localization import (
@@ -386,7 +387,48 @@ def test_the_dimension_bound():
         F = EquivariantBundle(model, ((0, RootBundle(model, (7,))),))
         return localized_index(ProblemSpec(model, RootBundle(model, (1,)), normal, F, order=0))
 
-    # the bound itself is allowed; one more is refused before the Todd class is built
+    # the bound itself is allowed; one more is refused before the Todd class is built,
+    # by the solve and by todd_class alike
     assert solve(MAX_TOP_INDEX).order == 0
     with pytest.raises(ValueError, match=f"^manifold: 'cpn:{MAX_TOP_INDEX + 1}' "):
         solve(MAX_TOP_INDEX + 1)
+    top = model_from_name(f"cpn:{MAX_TOP_INDEX}")
+    assert todd_class(RootBundle(top, (1,))) == todd_product(RootBundle(top, (1,)))
+    with pytest.raises(ValueError, match=f"^manifold: 'cpn:{MAX_TOP_INDEX + 1}' "):
+        todd_class(RootBundle(model_from_name(f"cpn:{MAX_TOP_INDEX + 1}"), (1,)))
+
+
+def test_explicit_normal_data_gives_a_rational_index():
+    # 1/(1 - q^w e^(rx)) = sum_(j<=m) q^(wj) (e^(rx) - 1)^j / (1 - q^w)^(j+1), as e^(rx) - 1 is
+    # nilpotent, so the index times Q = prod_w (1 - q^w)^(n_w + m), for n_w normal roots at
+    # weight w, is a Laurent polynomial whose terms stop at q^(low + m sum_w w + the span of
+    # the F-weights), low being the lowest F-weight plus L.weight: an oracle for the division
+    # kernel that uses neither it nor long division
+    rng = random.Random(47)
+
+    def roots(count: int) -> list[Fraction]:
+        return [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(count)]
+
+    reached = 0
+    for _ in range(300):
+        model = model_from_name(rng.choice(["point", "cpn:1", "cpn:2", "cpn:3", "cpn:4"]))
+        m = model.top_index
+        normal = NormalDecomposition(model, [(rng.randint(1, 5), RootBundle(model, roots(
+            rng.randint(1, 3)))) for _ in range(rng.randint(1, 3))])
+        F = EquivariantBundle(model, [(rng.randint(-4, 4), RootBundle(
+            model, roots(rng.randint(0, 3)), roots(rng.randint(0, 2))))
+            for _ in range(rng.randint(1, 3))])
+        line = DifferenceLine(rng.choice((1, -1)), rng.randint(-3, 3))
+        weights = [w for w, _ in F.terms]
+        low = min(weights) + line.weight
+        bound = low + m * sum(w for w, _ in normal.components) + max(weights) - min(weights)
+        spec = ProblemSpec(model, RootBundle(model, roots(m)), normal, F, line, bound + 40)
+        index = localized_index(spec)
+        q = QSeries.one(QQ, index.order - min(index.lowest, 0))
+        for w, bundle in normal.components:
+            q = q * QSeries.from_terms(QQ, {0: 1, w: -1}, q.order) ** (len(bundle.plus_roots) + m)
+        product = index * q
+        assert product.order == spec.order
+        assert all(n <= bound for n, _ in product.terms()), (spec, product)
+        reached += product.lowest + len(product.coeffs) - 1 == bound
+    assert reached  # the bound is met, not only respected

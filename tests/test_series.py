@@ -210,9 +210,11 @@ def test_sum_and_product_are_coefficientwise(pair):
     a, b = pair
     ring = a.ring
     total = a + b
-    assert total.order == min(a.order, b.order)
+    difference = a - b
+    assert total.order == difference.order == min(a.order, b.order)
     for n in range(min(a.lowest, b.lowest) - 1, total.order + 1):
         assert total.coefficient(n) == a.coefficient(n) + b.coefficient(n)
+        assert difference.coefficient(n) == a.coefficient(n) - b.coefficient(n)
     product = a * b
     assert product.order == min(a.order + b.lowest, b.order + a.lowest)
     for n in range(a.lowest + b.lowest - 1, product.order + 1):
@@ -221,7 +223,15 @@ def test_sum_and_product_are_coefficientwise(pair):
             expected = expected + a.coefficient(i) * b.coefficient(n - i)
         assert product.coefficient(n) == expected
     assert_normal_form(total)
+    assert_normal_form(difference)
     assert_normal_form(product)
+
+
+def test_a_ring_mismatch_names_both_rings():
+    with pytest.raises(ValueError, match=r"^coefficient ring mismatch: H\(s2\) vs H\(cpn:2\)$"):
+        QSeries.one(CohRing(model_from_name("s2")), 3) * QSeries.one(CP2_RING, 3)
+    with pytest.raises(ValueError, match="^coefficient ring mismatch: ZZ vs QQ$"):
+        QSeries.one(ZZ, 3) + QSeries.one(QQ, 3)
 
 
 # -- inversion ---------------------------------------------------------
