@@ -19,12 +19,12 @@ from itertools import accumulate, repeat
 from typing import Any, Iterable, Sequence
 
 from .cohomology import CohClass, ManifoldModel, ModelMismatch
-from .series import Record, as_fraction, shorten
+from .series import Record, SchemaError, as_fraction, shorten
 
 MAX_TOP_INDEX = 100  # largest dimension m taken: the Todd functional's integers grow with m
 
 
-class VirtualBundle(ValueError):
+class VirtualBundle(SchemaError):
     """An operation needing a genuine bundle met nonempty minus_roots."""
 
 
@@ -146,8 +146,8 @@ def todd_functional(sums: Sequence[int], scale: int) -> tuple[int, list[int]]:
 def check_dimension(model: ManifoldModel) -> None:
     """Refuse a manifold of dimension m past MAX_TOP_INDEX, whose Todd functional grows with m."""
     if model.top_index > MAX_TOP_INDEX:
-        raise ValueError(f"manifold: {shorten(repr(model.name))} has dimension past the bound "
-                         f"{MAX_TOP_INDEX}; its Todd class would take too long")
+        raise SchemaError("manifold", f"{shorten(repr(model.name))} has dimension past the bound "
+                          f"{MAX_TOP_INDEX}; its Todd class would take too long")
 
 
 def todd_class(bundle: RootBundle) -> CohClass:

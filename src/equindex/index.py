@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Union
 
-from .charclasses import RootBundle, VirtualBundle, merge_by_weight
+from .charclasses import RootBundle, merge_by_weight
 from .cohomology import ManifoldModel, ModelMismatch, UnsupportedModel, model_from_name
 from .localization import LOOP, NormalDecomposition, localized_index
 from .series import QSeries, Record, SchemaError, parse_int, shorten
@@ -67,7 +67,7 @@ DEFAULT_ORDER = 10  # the truncation order of a problem that names none
 
 
 class ProblemSpec(Record):
-    """Everything the localized index needs, validated for model agreement."""
+    """Everything the localized index needs, validated for model agreement and tangent rank."""
 
     _fields = ("model", "tangent", "normal", "F", "L", "order")
 
@@ -82,8 +82,9 @@ class ProblemSpec(Record):
     ):
         if tangent.model != model:
             raise ModelMismatch("tangent bundle lives on a different model")
-        if not tangent.is_genuine:
-            raise VirtualBundle("tangent.minus: must be empty (the tangent bundle is genuine)")
+        if tangent.rank != model.top_index:
+            raise SchemaError("tangent", f"must have rank {model.top_index}, the manifold's "
+                                         f"dimension, got {tangent.rank}")
         if isinstance(normal, NormalDecomposition):
             if normal.model != model:
                 raise ModelMismatch("normal data lives on a different model")
@@ -124,10 +125,8 @@ def compact_trivial_index(
     """
     highest = max((weight for weight, _ in F.terms), default=0)
     # a problem's order is nonnegative: with only negative weights, cut back after
-    spec = ProblemSpec(
-        model=model, tangent=tangent, normal=NormalDecomposition(model), F=F,
-        order=max(highest, 0),
-    )
+    spec = ProblemSpec(model=model, tangent=tangent, normal=NormalDecomposition(model), F=F,
+                       order=max(highest, 0))
     return localized_index(spec).truncate(highest)
 
 

@@ -26,10 +26,10 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, Iterable
 
-from .charclasses import (MAX_TOP_INDEX, RootBundle, VirtualBundle, check_dimension, common_scale,
+from .charclasses import (RootBundle, VirtualBundle, check_dimension, common_scale,
                           merge_by_weight, power_sums, todd_functional)
 from .cohomology import CohClass, CohRing, ManifoldModel
-from .series import QQ, QSeries, Record, shorten
+from .series import QQ, QSeries, Record, SchemaError, shorten
 
 if TYPE_CHECKING:
     from .index import ProblemSpec
@@ -39,7 +39,7 @@ MAX_KERNEL_WORK = 10**8  # estimated integer steps of one solve; see _check_work
 _SLOT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}  # memoryview formats of the signed slots
 
 
-class WeightError(ValueError):
+class WeightError(SchemaError):
     """A normal-direction rotation weight that is not a positive integer."""
 
 
@@ -60,10 +60,11 @@ class NormalDecomposition(Record):
         components = tuple(components)
         for i, (weight, bundle) in enumerate(components):
             if type(weight) is not int or weight < 1:
-                raise WeightError(
-                    f"normal[{i}].weight: must be a positive integer, got {shorten(repr(weight))}")
+                raise WeightError(f"normal[{i}].weight",
+                                  f"must be a positive integer, got {shorten(repr(weight))}")
             if not bundle.is_genuine:
-                raise VirtualBundle(f"normal[{i}].minus: must be empty (the summands are genuine)")
+                raise VirtualBundle(f"normal[{i}].minus",
+                                    "must be empty (the summands are genuine)")
         self._set_fields(model, merge_by_weight(model, components, "normal component"))
 
 
@@ -156,8 +157,8 @@ def _check_work(normal: NormalDecomposition | str, length: int, size: int,
     digits = math.ceil((size - 1) * math.log2(max(widest, 1)) / sys.int_info.bits_per_digit)
     work = (length * (terms + 1) + 1) * size**2 * max(digits, 1)
     if work > MAX_KERNEL_WORK:
-        raise ValueError(f"order: the solve would take about {work:.1e} steps, over the bound "
-                         f"{MAX_KERNEL_WORK:.0e}; ask for a lower order or smaller roots")
+        raise SchemaError("order", f"the solve would take about {work:.1e} steps, over the bound "
+                          f"{MAX_KERNEL_WORK:.0e}; ask for a lower order or smaller roots")
 
 
 def _divide(decomposition: NormalDecomposition, scale: int, size: int,

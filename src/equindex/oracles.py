@@ -160,7 +160,7 @@ def _todd_factor(root: Fraction, model: ManifoldModel) -> CohClass:
 def todd_product(bundle: RootBundle) -> CohClass:
     """td = product over roots of rx / (1 - e^(-rx)); the root 0 contributes 1."""
     if not bundle.is_genuine:
-        raise VirtualBundle("the Todd class needs a genuine bundle (no minus roots)")
+        raise VirtualBundle("minus", "must be empty (the Todd product needs a genuine bundle)")
     total = unit_class(bundle.model)
     for root in bundle.plus_roots:
         if root == 0:
@@ -177,7 +177,7 @@ def lambda_minus_t_factor(bundle: RootBundle, weight: int, order: int) -> QSerie
     its q^0 coefficient is the unit class.
     """
     if not bundle.is_genuine:
-        raise VirtualBundle("lambda factors need a genuine bundle (no minus roots)")
+        raise VirtualBundle("minus", "must be empty (lambda factors need a genuine bundle)")
     if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
         raise ValueError(f"rotation weight must be a positive integer, got {weight!r}")
     ring = CohRing(bundle.model)

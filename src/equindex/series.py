@@ -131,7 +131,7 @@ def parse_int(text: str) -> int:
 
 
 class SchemaError(ValueError):
-    """A problem value that breaks the input schema, named by its JSON path."""
+    """The one error of a refused problem, named by the JSON path ``path`` that caused it."""
 
     def __init__(self, path: str, message: str):
         self.path = path

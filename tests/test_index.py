@@ -23,8 +23,8 @@ from equindex import (
     QSeries,
     QQ,
     RootBundle,
+    SchemaError,
     UnsupportedModel,
-    VirtualBundle,
     ZZ,
     chern_character,
     coh_integrate,
@@ -172,6 +172,17 @@ def test_loop_space_index_agrees_with_a_hand_built_problem():
     )
 
 
+def test_a_virtual_sphere_tangent_gives_the_loop_sphere():
+    # the Euler sequence on CP^1 makes T(S^2) the virtual bundle plus [1, 1], minus [0], of
+    # rank 1 and with the power sums of the root 2: as a document it solves to ls2
+    order = 30
+    document = {"manifold": "s2", "tangent": {"plus": [1, 1], "minus": [0]}, "normal": "loop",
+                "F": [{"weight": 0, "plus": [0]}], "order": order}
+    spec = parse_problem(json.dumps(document))
+    assert spec.tangent == RootBundle(S2, (1, 1), (0,))
+    assert localized_index(spec) == localized_index(preset_spec("ls2", order))
+
+
 def test_loop_sphere_with_tangent_coefficients():
     # each weight-a summand E_a contributes (integral of ch(E_a)(1+x)) q^a
     # times the partition convolution; for E = TS2 at weight 1 that factor
@@ -272,11 +283,11 @@ def test_empty_normal_data_reduces_to_the_compact_index():
 
 
 def test_hirzebruch_riemann_roch_on_projective_spaces():
-    # chi(CP^n, O(k)) = (k+1)...(k+n)/n!; the Euler sequence gives td(CP^n)
-    # from n+1 roots 1, the trivial summand's root 0 having Todd factor 1
+    # chi(CP^n, O(k)) = (k+1)...(k+n)/n!; the Euler sequence T + O = O(1)^(n+1) gives
+    # the tangent as the virtual bundle of plus n+1 roots 1 and minus the root 0
     for n in range(1, 5):
         model = model_from_name(f"cpn:{n}")
-        tangent = RootBundle(model, (1,) * (n + 1))
+        tangent = RootBundle(model, (1,) * (n + 1), (0,))
         for k in range(-n - 2, 4):
             line = EquivariantBundle(model, ((0, RootBundle(model, (k,))),))
             expected = Fraction(math.prod(range(k + 1, k + n + 1)), math.factorial(n))
@@ -324,8 +335,12 @@ def test_problem_spec_validates_the_rest():
         normal=LOOP,
         F=EquivariantBundle.trivial(S2),
     )
-    with pytest.raises(VirtualBundle):
-        ProblemSpec(**{**good, "tangent": RootBundle(S2, (2,), (0,))})
+    # the tangent's virtual rank is the dimension: a minus root is taken, a rank off by one not
+    assert ProblemSpec(**{**good, "tangent": RootBundle(S2, (2, 0), (0,))}).tangent.rank == 1
+    for tangent in (RootBundle(S2, (2,), (0,)), RootBundle(S2, (2, 0))):
+        with pytest.raises(SchemaError, match="^tangent: must have rank 1, ") as refused:
+            ProblemSpec(**{**good, "tangent": tangent})
+        assert refused.value.path == "tangent"
     with pytest.raises(ValueError):
         ProblemSpec(**{**good, "normal": "everywhere"})
     with pytest.raises(ValueError, match="normal: must be"):

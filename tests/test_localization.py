@@ -22,6 +22,7 @@ from equindex import (
     QSeries,
     QQ,
     RootBundle,
+    SchemaError,
     VirtualBundle,
     WeightError,
     chern_character,
@@ -36,13 +37,8 @@ from equindex import (
     todd_class,
 )
 from equindex import localization
-from equindex.localization import (
-    MAX_KERNEL_WORK,
-    MAX_TOP_INDEX,
-    _check_work,
-    _unpack,
-    localized_index,
-)
+from equindex.charclasses import MAX_TOP_INDEX
+from equindex.localization import MAX_KERNEL_WORK, _check_work, _unpack, localized_index
 from equindex.oracles import todd_product
 from support import assert_is_one, assert_same_series, random_decomposition
 
@@ -380,12 +376,18 @@ def test_a_surface_loop_is_charged_for_its_pentagonal_terms():
         _check_work(LOOP, 4000, 3, tangent, 1)
 
 
+def _cpn_spec(m: int, order: int) -> ProblemSpec:
+    """A problem on cpn:m with the Euler-sequence tangent, plus m + 1 roots 1 and minus 0."""
+    model = model_from_name(f"cpn:{m}")
+    tangent = RootBundle(model, (1,) * (m + 1), (0,))
+    normal = NormalDecomposition(model, ((1, RootBundle(model, (1,))),))
+    F = EquivariantBundle(model, ((0, RootBundle(model, (7,))),))
+    return ProblemSpec(model, tangent, normal, F, order=order)
+
+
 def test_the_dimension_bound():
     def solve(m: int):
-        model = model_from_name(f"cpn:{m}")
-        normal = NormalDecomposition(model, ((1, RootBundle(model, (1,))),))
-        F = EquivariantBundle(model, ((0, RootBundle(model, (7,))),))
-        return localized_index(ProblemSpec(model, RootBundle(model, (1,)), normal, F, order=0))
+        return localized_index(_cpn_spec(m, 0))
 
     # the bound itself is allowed; one more is refused before the Todd class is built,
     # by the solve and by todd_class alike
@@ -432,3 +434,19 @@ def test_explicit_normal_data_gives_a_rational_index():
         assert all(n <= bound for n, _ in product.terms()), (spec, product)
         reached += product.lowest + len(product.coeffs) - 1 == bound
     assert reached  # the bound is met, not only respected
+
+
+def test_an_oversized_problem_is_refused_at_its_path():
+    # the cost bound names the order and the dimension bound the manifold, as SchemaError
+    # does for every other refused problem, whichever entry point meets them
+    refusals = [
+        ("order", lambda: localized_index(_cpn_spec(2, 10**15))),
+        ("order", lambda: inverse_euler_class(_cpn_spec(2, 0).normal, 10**15)),
+        ("manifold", lambda: localized_index(_cpn_spec(MAX_TOP_INDEX + 1, 0))),
+        ("manifold", lambda: todd_class(RootBundle(model_from_name(f"cpn:{MAX_TOP_INDEX + 1}")))),
+    ]
+    for path, refuse in refusals:
+        with pytest.raises(SchemaError) as refused:
+            refuse()
+        assert refused.value.path == path
+        assert str(refused.value).startswith(f"{path}: ")

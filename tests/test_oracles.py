@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from equindex import (
     LOOP,
+    CohClass,
+    CohRing,
     DifferenceLine,
     EquivariantBundle,
     NotInvertible,
@@ -19,6 +22,7 @@ from equindex import (
     RootBundle,
     ZZ,
     direct_cplane_index,
+    euler_class,
     localized_index,
     loop_normal_decomposition,
     model_from_name,
@@ -237,6 +241,28 @@ def test_the_loop_kernel_leaves_every_odd_coordinate_zero():
                 assert not any(column)
             else:
                 assert all(column[1:])
+
+
+def _columns_as_series(columns: list[list[int]], model, scale: int, order: int) -> QSeries:
+    """The H(model) series of a kernel's columns b_k, whose x^k entry at q^n is b_k[n]/(k! D^k)."""
+    denominators = [math.factorial(k) * scale**k for k in range(len(columns))]
+    rows = [CohClass([Fraction(b, d) for b, d in zip(row, denominators)]) for row in zip(*columns)]
+    return QSeries(CohRing(model), 0, rows, order)
+
+
+def test_the_loop_kernel_multiplies_by_the_euler_class_of_the_minus_part():
+    # the loop data of plus - minus is plus + conj(plus) - minus - conj(minus) at every weight,
+    # so its 1/eul is 1/eul of the plus part's data times eul of the minus part's; the kernel
+    # reads the minus roots only through the power sums, as 2 P_k
+    cp3 = model_from_name("cpn:3")
+    tangent = RootBundle(cp3, (1, 2, 3, 1), (2,))
+    plus, minus = RootBundle(cp3, tangent.plus_roots), RootBundle(cp3, tangent.minus_roots)
+    order, scale = 12, common_scale([tangent])
+    engine = _loop_inverse(power_sums(tangent, scale, 4), order + 1)
+    divided = _divide(loop_normal_decomposition(plus, order), scale, 4, order + 1)
+    assert _columns_as_series(engine, cp3, scale, order) == (
+        _columns_as_series(divided, cp3, scale, order)
+        * euler_class(loop_normal_decomposition(minus, order), order))
 
 
 def test_the_loop_recurrence_matches_division_at_order_60():
