@@ -28,11 +28,25 @@ class VirtualBundle(SchemaError):
     """An operation needing a genuine bundle met nonempty minus_roots."""
 
 
+def _roots(side: Any, path: str) -> tuple[Fraction, ...]:
+    """One side's roots, sorted; a refusal names the side's ``path`` or the root's ``path[i]``."""
+    if not isinstance(side, (list, tuple)):
+        raise SchemaError(path, "expected an array of rationals")
+    roots = []
+    for i, root in enumerate(side):
+        try:
+            roots.append(as_fraction(root))
+        except ValueError as exc:
+            raise SchemaError(f"{path}[{i}]", str(exc)) from None
+    return tuple(sorted(roots))
+
+
 class RootBundle(Record):
     """A virtual bundle: formal difference of sums of line bundles.
 
-    ``plus_roots`` and ``minus_roots`` are multisets of rational Chern
-    roots, stored sorted so equal bundles compare equal.
+    ``plus_roots`` and ``minus_roots`` are multisets of rational Chern roots, stored sorted
+    so equal bundles compare equal.  Each side is a list or tuple of what ``as_fraction``
+    takes, else ``SchemaError`` at the path ``plus``, ``plus[i]``, ``minus`` or ``minus[i]``.
     """
 
     _fields = ("model", "plus_roots", "minus_roots")
@@ -46,8 +60,7 @@ class RootBundle(Record):
         plus_roots: Sequence[Any] = (),
         minus_roots: Sequence[Any] = (),
     ):
-        self._set_fields(model, tuple(sorted(as_fraction(r) for r in plus_roots)),
-                         tuple(sorted(as_fraction(r) for r in minus_roots)))
+        self._set_fields(model, _roots(plus_roots, "plus"), _roots(minus_roots, "minus"))
 
     @property
     def rank(self) -> int:

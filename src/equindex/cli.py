@@ -1,10 +1,10 @@
 """Command line front end: evaluate index problems from JSON or presets.
 
 ``parse_problem`` checks only what the records cannot know: that the text is
-JSON, that objects and arrays sit where the schema puts them with no
-unknown, repeated or missing field, the manifold name and the roots.  It
-passes every other value (weights, the difference line, the order) to the
-records as it is, and their refusals name the same JSON paths.
+JSON, and that objects and arrays sit where the schema puts them with no
+unknown, repeated or missing field.  It passes every value (the manifold
+name, roots, weights, the difference line, the order) as it is to the
+function or record that reads it, whose refusal names the same JSON path.
 
 Exit status: 0 on success, 1 for problems with the input itself (schema,
 weights, models, a problem past the cost bounds) or a result too long to
@@ -14,11 +14,10 @@ write as text, 2 for I/O failures and usage errors.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .charclasses import RootBundle
-from .cohomology import ManifoldModel, UnsupportedModel, model_from_name
+from .cohomology import ManifoldModel, model_from_name
 from .index import (
     DEFAULT_ORDER,
     DifferenceLine,
@@ -28,7 +27,7 @@ from .index import (
     preset_spec,
 )
 from .localization import NormalDecomposition
-from .series import SchemaError, as_fraction, parse_int, render_series, shorten
+from .series import SchemaError, parse_int, render_series, shorten
 
 if TYPE_CHECKING:
     import argparse
@@ -36,7 +35,8 @@ if TYPE_CHECKING:
 _REPEATED = object()  # key under which _unique_keys marks a repeated field
 
 
-def _expect_object(value: Any, path: str, allowed: set[str], required: set[str]) -> dict:
+def _expect_object(value: Any, path: str, allowed: Sequence[str], required: Sequence[str]) -> dict:
+    """``value`` as an object of ``allowed`` fields; names the first ``required`` field missing."""
     if not isinstance(value, dict):
         raise SchemaError(path, "expected a JSON object")
     if _REPEATED in value:
@@ -48,18 +48,6 @@ def _expect_object(value: Any, path: str, allowed: set[str], required: set[str])
         if key not in value:
             raise SchemaError(path, f"missing required field {key!r}")
     return value
-
-
-def _root_list(value: Any, path: str) -> tuple[Fraction, ...]:
-    if not isinstance(value, list):
-        raise SchemaError(path, "expected an array of rationals")
-    roots = []
-    for i, entry in enumerate(value):
-        try:
-            roots.append(as_fraction(entry))
-        except ValueError as exc:
-            raise SchemaError(f"{path}[{i}]", str(exc)) from None
-    return tuple(roots)
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
@@ -77,11 +65,13 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 
 
 def _bundle(value: Any, path: str, model: ManifoldModel,
-            extra_keys: frozenset[str] = frozenset()) -> tuple[dict, RootBundle]:
-    obj = _expect_object(value, path, {"plus", "minus"} | extra_keys, extra_keys)
-    plus = _root_list(obj.get("plus", []), f"{path}.plus")
-    minus = _root_list(obj.get("minus", []), f"{path}.minus")
-    return obj, RootBundle(model, plus, minus)
+            extra_keys: tuple[str, ...] = ()) -> tuple[dict, RootBundle]:
+    """The object at ``path`` and its bundle; the bundle's refusals are prefixed with ``path``."""
+    obj = _expect_object(value, path, ("plus", "minus", *extra_keys), extra_keys)
+    try:
+        return obj, RootBundle(model, obj.get("plus", []), obj.get("minus", []))
+    except SchemaError as exc:
+        raise type(exc)(f"{path}.{exc.path}", exc.message) from None
 
 
 def _weighted_bundles(value: Any, path: str, model: ManifoldModel) -> list[tuple[Any, RootBundle]]:
@@ -90,7 +80,7 @@ def _weighted_bundles(value: Any, path: str, model: ManifoldModel) -> list[tuple
         raise SchemaError(path, "expected an array of weighted bundles")
     summands = []
     for i, entry in enumerate(value):
-        obj, bundle = _bundle(entry, f"{path}[{i}]", model, frozenset({"weight"}))
+        obj, bundle = _bundle(entry, f"{path}[{i}]", model, ("weight",))
         summands.append((obj["weight"], bundle))
     return summands
 
@@ -105,20 +95,10 @@ def parse_problem(text: str) -> ProblemSpec:
         raise SchemaError("$", f"invalid JSON ({exc})") from None
     except RecursionError:  # arrays or objects nested past the interpreter's stack
         raise SchemaError("$", "invalid JSON (nested too deeply)") from None
-    top = _expect_object(
-        document, "$",
-        {"manifold", "tangent", "normal", "F", "L", "order"},
-        {"manifold", "tangent", "normal", "F"},
-    )
+    fields = ("manifold", "tangent", "normal", "F", "L", "order")  # the required ones first
+    top = _expect_object(document, "$", fields, fields[:4])
 
-    name = top["manifold"]
-    if not isinstance(name, str):
-        raise SchemaError("manifold", "expected a manifold name string")
-    try:
-        model = model_from_name(name)
-    except UnsupportedModel as exc:
-        raise SchemaError("manifold", str(exc)) from None
-
+    model = model_from_name(top["manifold"])
     _, tangent = _bundle(top["tangent"], "tangent", model)
 
     normal = top["normal"]
@@ -129,7 +109,7 @@ def parse_problem(text: str) -> ProblemSpec:
 
     line = DifferenceLine()
     if "L" in top:
-        fields = {"sign", "weight"}
+        fields = ("sign", "weight")
         line = DifferenceLine(**_expect_object(top["L"], "L", fields, fields))
 
     return ProblemSpec(model=model, tangent=tangent, normal=normal, F=F, L=line,

@@ -12,12 +12,12 @@ import functools
 from fractions import Fraction
 from typing import Any, Iterable
 
-from .series import (QQ, CoefficientRing, NotInvertible, QSeries, Record, as_fraction, parse_int,
-                     render_terms, shorten)
+from .series import (QQ, CoefficientRing, NotInvertible, QSeries, Record, SchemaError, as_fraction,
+                     parse_int, render_terms, shorten)
 
 
-class UnsupportedModel(ValueError):
-    """A manifold name outside the supported presets, or the wrong kind for an op."""
+class UnsupportedModel(SchemaError):
+    """An unknown manifold name, or the wrong kind of model for an op, at the path ``manifold``."""
 
 
 class ModelMismatch(ValueError):
@@ -38,12 +38,14 @@ class ManifoldModel(Record):
         return self.name
 
 
-def model_from_name(name: str) -> ManifoldModel:
-    """Resolve a manifold preset name.
+def model_from_name(name: Any) -> ManifoldModel:
+    """Resolve a manifold preset name; ``UnsupportedModel`` refuses any other value.
 
     Supported: ``point``, ``s2``, ``sigma:<g>`` (closed orientable surface
     of genus g), ``cpn:<n>`` (complex projective n-space).
     """
+    if not isinstance(name, str):
+        raise UnsupportedModel("manifold", "expected a manifold name string")
     if name == "point":
         return ManifoldModel("point", 0)
     if name == "s2":
@@ -54,18 +56,18 @@ def model_from_name(name: str) -> ManifoldModel:
     if name.startswith("cpn:"):
         n = _parse_suffix(name, "cpn:", minimum=1)
         return ManifoldModel(f"cpn:{n}", n)
-    raise UnsupportedModel(f"unknown manifold model: {shorten(repr(name))}")
+    raise UnsupportedModel("manifold", f"unknown manifold model: {shorten(repr(name))}")
 
 
 def _parse_suffix(name: str, prefix: str, minimum: int) -> int:
-    text = name[len(prefix):]
     try:
-        value = parse_int(text)
+        value = parse_int(name[len(prefix):])
     except ValueError:
         raise UnsupportedModel(
-            f"manifold parameter must be an integer: {shorten(repr(name))}") from None
+            "manifold", f"manifold parameter must be an integer: {shorten(repr(name))}") from None
     if value < minimum:
-        raise UnsupportedModel(f"manifold parameter out of range: {shorten(repr(name))}")
+        raise UnsupportedModel(
+            "manifold", f"manifold parameter out of range: {shorten(repr(name))}")
     return value
 
 

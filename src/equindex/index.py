@@ -108,8 +108,7 @@ def _loop_spec(surface: ManifoldModel, F: EquivariantBundle, order: int) -> Prob
     """The loop-space problem; the tangent root is the Euler number 2 - 2g."""
     if surface.genus is None:
         raise UnsupportedModel(
-            f"loop-space index needs a surface model (s2 or sigma:<g>), got {surface}"
-        )
+            "manifold", f"loop-space index needs a surface model (s2 or sigma:<g>), got {surface}")
     tangent = RootBundle(surface, (2 - 2 * surface.genus,))
     return ProblemSpec(model=surface, tangent=tangent, normal=LOOP, F=F, order=order)
 

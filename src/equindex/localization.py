@@ -157,8 +157,12 @@ def _check_work(normal: NormalDecomposition | str, length: int, size: int,
     digits = math.ceil((size - 1) * math.log2(max(widest, 1)) / sys.int_info.bits_per_digit)
     work = (length * (terms + 1) + 1) * size**2 * max(digits, 1)
     if work > MAX_KERNEL_WORK:
-        raise SchemaError("order", f"the solve would take about {work:.1e} steps, over the bound "
-                          f"{MAX_KERNEL_WORK:.0e}; ask for a lower order or smaller roots")
+        # "{:.1e}" reads an int as a float: past a float's range, drop digits and count them back
+        shift = 0 if work <= sys.float_info.max else math.ceil(math.log10(work)) - 300
+        head, power = f"{work // 10**shift:.1e}".split("e")
+        raise SchemaError("order", f"the solve would take about {head}e{int(power) + shift:+03d} "
+                          f"steps, over the bound {MAX_KERNEL_WORK:.0e}; ask for a lower order "
+                          "or smaller roots")
 
 
 def _divide(decomposition: NormalDecomposition, scale: int, size: int,

@@ -131,10 +131,10 @@ def parse_int(text: str) -> int:
 
 
 class SchemaError(ValueError):
-    """The one error of a refused problem, named by the JSON path ``path`` that caused it."""
+    """The one error of a refused problem: its ``message`` and the JSON ``path`` that caused it."""
 
     def __init__(self, path: str, message: str):
-        self.path = path
+        self.path, self.message = path, message
         super().__init__(f"{path}: {message}")
 
 

@@ -16,6 +16,7 @@ from equindex import (
     ModelMismatch,
     QSeries,
     RootBundle,
+    SchemaError,
     VirtualBundle,
     chern_character,
     exponential_class,
@@ -41,6 +42,26 @@ def test_roots_are_sorted_multisets():
     assert bundle.rank == 2
     assert not bundle.is_genuine
     assert RootBundle(S2, (-1, 3, 3), (0,)) == bundle
+
+
+def test_roots_are_refused_at_their_paths():
+    # a side must be a list or tuple: a string is not read as its characters, "12" as 1 and 2;
+    # the sides are read in order, plus before minus, each side before its roots
+    cases = [
+        ((["x"],), "plus[0]", "not a rational: 'x'"),
+        (("12",), "plus", "expected an array of rationals"),
+        (((1, 2.5),), "plus[1]", 'floats are inexact; write rationals as strings "p/q"'),
+        (((1,), ["0/0"]), "minus[0]", "not a rational: '0/0'"),
+        (((1,), (n for n in (0,))), "minus", "expected an array of rationals"),
+        ((["x"], "12"), "plus[0]", "not a rational: 'x'"),
+        (("12", ["x"]), "plus", "expected an array of rationals"),
+    ]
+    for sides, path, message in cases:
+        with pytest.raises(SchemaError) as refused:
+            RootBundle(S2, *sides)
+        assert (refused.value.path, refused.value.message) == (path, message)
+        assert str(refused.value) == f"{path}: {message}"
+    assert RootBundle(S2, ["1/2", 3], ("-1",)) == RootBundle(S2, (3, Fraction(1, 2)), (-1,))
 
 
 def test_direct_sum_and_conjugate():

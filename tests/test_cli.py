@@ -45,20 +45,20 @@ LS2_DOC = {
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports this checkout's sources."""
+def run_python(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter on this checkout's sources, with ``env`` set."""
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, **env: str) -> subprocess.CompletedProcess:
     """Run what the ``equindex`` script runs."""
-    return run_python("from equindex.cli import main; main()", *args)
+    return run_python("from equindex.cli import main; main()", *args, **env)
 
 
 def test_preset_text_goldens():
@@ -157,6 +157,15 @@ def test_schema_violations_exit_one(tmp_path):
         (json.dumps({**LS2_DOC, "manifold": "torus"}), "manifold"),
         (json.dumps({**LS2_DOC, "tangent": {"plus": [0.5]}}), "floats are inexact"),
         (json.dumps({**LS2_DOC, "tangent": {"plus": ["x"]}}), "not a rational"),
+        # a zero denominator is refused by as_fraction, not raised as ZeroDivisionError
+        (
+            json.dumps({**LS2_DOC, "tangent": {"plus": ["1/0"]}}),
+            "equindex: tangent.plus[0]: not a rational: '1/0'\n",
+        ),
+        (
+            json.dumps({**LS2_DOC, "tangent": {"plus": ["0/0"]}}),
+            "equindex: tangent.plus[0]: not a rational: '0/0'\n",
+        ),
         (json.dumps({**LS2_DOC, "normal": 5}), "normal"),
         (
             json.dumps(
@@ -270,6 +279,8 @@ RECORD_RULES = {
         lambda: EquivariantBundle(S2, ((0.5, RootBundle(S2, (0,))),)),
         {"F": [{"weight": 0.5, "plus": [0]}]}),
     "normal=5": (lambda: _ls2_spec(normal=5), {"normal": 5}),
+    "manifold='torus'": (lambda: model_from_name("torus"), {"manifold": "torus"}),
+    "manifold=5": (lambda: model_from_name(5), {"manifold": 5}),
     "L.sign=2": (lambda: DifferenceLine(2, 0), {"L": {"sign": 2, "weight": 0}}),
     "L.weight='3'": (lambda: DifferenceLine(1, "3"), {"L": {"sign": 1, "weight": "3"}}),
     "order=-3": (lambda: _ls2_spec(order=-3), {"order": -3}),
@@ -289,6 +300,23 @@ def test_one_rule_one_message(rule):
     path = rule.partition("=")[0]
     assert from_record.value.path == from_document.value.path == path
     assert str(from_record.value).startswith(path + ": ")
+
+
+@pytest.mark.parametrize("path", ["tangent", "normal[0]", "F[0]"])
+def test_a_bundle_refusal_is_prefixed_with_the_bundle_path(path):
+    # RootBundle alone reads roots: the document's refusal is the bundle's path, ".", and
+    # the record's own refusal, whatever side or root it names
+    field = path.partition("[")[0]
+    for plus, minus in ((["x"], []), ("12", []), ([1], ["1/0"]), ([1], 5), ([0.5], "x")):
+        with pytest.raises(SchemaError) as from_record:
+            RootBundle(S2, plus, minus)
+        bundle = {"plus": plus, "minus": minus}
+        value = bundle if field == "tangent" else [{"weight": 1, **bundle}]
+        with pytest.raises(SchemaError) as from_document:
+            parse_problem(json.dumps({**LS2_DOC, field: value}))
+        assert from_document.value.path == f"{path}.{from_record.value.path}"
+        assert str(from_document.value) == f"{path}.{from_record.value}"
+        assert type(from_document.value) is type(from_record.value)
 
 
 def test_a_large_projective_space_exits_one_at_once(tmp_path):
@@ -532,13 +560,35 @@ def test_negative_order_flag_is_rejected(tmp_path):
                                  f"got {args[-1]}\n")
 
 
-def test_oversized_orders_exit_one():
+def test_oversized_orders_exit_one(tmp_path):
     # the window would need more than 10^15 integers: only the work estimate,
     # which runs before any allocation, lets these runs end at once
     for preset in ("ls2", "cplane:-3"):
         result = run_cli("--preset", preset, "--order", str(10**15))
         assert result.returncode == 1, preset
         assert result.stderr.startswith("equindex: order: "), result.stderr
+    # an estimate past the range of a float is written out all the same
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"manifold": "s2", "tangent": {"plus": [2]}, "normal": "loop",
+                                "F": [{"weight": -(10**400), "plus": [0]}], "order": 0}))
+    result = run_cli("--input", str(path))
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == ("equindex: order: the solve would take about 1.3e+601 steps, over "
+                             "the bound 1e+08; ask for a lower order or smaller roots\n")
+
+
+def test_a_missing_field_is_named_the_same_under_every_hash_seed(tmp_path):
+    # the first missing field in schema order, whatever order a set of names would take
+    path = tmp_path / "missing.json"
+    cases = [
+        ({"manifold": "s2", "normal": "loop"}, "$: missing required field 'tangent'"),
+        ({**LS2_DOC, "L": {}}, "L: missing required field 'sign'"),
+    ]
+    for document, message in cases:
+        path.write_text(json.dumps(document))
+        for seed in ("1", "2"):
+            result = run_cli("--input", str(path), PYTHONHASHSEED=seed)
+            assert (result.returncode, result.stderr) == (1, f"equindex: {message}\n"), seed
 
 
 # -- generated documents ---------------------------------------------------

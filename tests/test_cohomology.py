@@ -13,6 +13,7 @@ from equindex import (
     ManifoldModel,
     NotInvertible,
     QQ,
+    SchemaError,
     UnsupportedModel,
     ZZ,
     coh_integrate,
@@ -39,13 +40,18 @@ def test_model_presets():
 
 
 def test_model_names_are_validated():
-    for bad in ("torus", "sigma:-1", "sigma:x", "cpn:0", "CPN:2", "s²"):
-        with pytest.raises(UnsupportedModel):
+    # every refusal is a SchemaError at the document's path of the name
+    for bad in ("torus", "sigma:-1", "sigma:x", "cpn:0", "CPN:2", "s²", 5, None, ["s2"]):
+        with pytest.raises(UnsupportedModel) as refused:
             model_from_name(bad)
+        assert isinstance(refused.value, SchemaError) and refused.value.path == "manifold"
+    with pytest.raises(UnsupportedModel, match="^manifold: expected a manifold name string$"):
+        model_from_name(5)
     # only a sign and ASCII digits: not "1_0", padding or other scripts' digits
     for bad in ("cpn:1_0", "cpn: 3", "cpn:3 ", "cpn:２", "sigma:1_0", "sigma:٣", "cpn:", "cpn:+",
                 "cpn:+-3"):
-        with pytest.raises(UnsupportedModel, match="^manifold parameter must be an integer: "):
+        with pytest.raises(UnsupportedModel,
+                           match="^manifold: manifold parameter must be an integer: "):
             model_from_name(bad)
     assert model_from_name("cpn:+3") == model_from_name("cpn:3")
 

@@ -199,8 +199,9 @@ def test_loop_sphere_with_tangent_coefficients():
 def test_loop_space_index_needs_a_surface():
     for name in ("point", "cpn:2"):
         model = model_from_name(name)
-        with pytest.raises(UnsupportedModel):
+        with pytest.raises(UnsupportedModel) as refused:
             loop_space_index(model, EquivariantBundle.trivial(model), 4)
+        assert isinstance(refused.value, SchemaError) and refused.value.path == "manifold"
 
 
 # -- difference line and F-linearity --------------------------------------

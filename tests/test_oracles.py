@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equindex import (
@@ -27,7 +28,9 @@ from equindex import (
     loop_normal_decomposition,
     model_from_name,
     naive_inverse,
+    parse_problem,
     partition_numbers,
+    preset_spec,
 )
 from equindex.charclasses import common_scale, power_sums
 from equindex.localization import _divide, _loop_inverse
@@ -250,19 +253,53 @@ def _columns_as_series(columns: list[list[int]], model, scale: int, order: int) 
     return QSeries(CohRing(model), 0, rows, order)
 
 
-def test_the_loop_kernel_multiplies_by_the_euler_class_of_the_minus_part():
+@st.composite
+def virtual_tangents(draw):
+    """A tangent of rank m on cpn:m, m = 1..4: 0-2 minus roots, and m more plus roots."""
+    model = model_from_name(f"cpn:{draw(st.integers(1, 4))}")
+    minus = draw(st.lists(ROOTS, max_size=2))
+    rank = model.top_index + len(minus)
+    return RootBundle(model, draw(st.lists(ROOTS, min_size=rank, max_size=rank)), minus)
+
+
+@settings(max_examples=100, deadline=None)
+@given(virtual_tangents(), st.integers(0, 10))
+@example(RootBundle(model_from_name("cpn:3"), (1, 2, 3, 1), (2,)), 12)
+def test_the_loop_kernel_multiplies_by_the_euler_class_of_the_minus_part(tangent, order):
     # the loop data of plus - minus is plus + conj(plus) - minus - conj(minus) at every weight,
     # so its 1/eul is 1/eul of the plus part's data times eul of the minus part's; the kernel
     # reads the minus roots only through the power sums, as 2 P_k
-    cp3 = model_from_name("cpn:3")
-    tangent = RootBundle(cp3, (1, 2, 3, 1), (2,))
-    plus, minus = RootBundle(cp3, tangent.plus_roots), RootBundle(cp3, tangent.minus_roots)
-    order, scale = 12, common_scale([tangent])
-    engine = _loop_inverse(power_sums(tangent, scale, 4), order + 1)
-    divided = _divide(loop_normal_decomposition(plus, order), scale, 4, order + 1)
-    assert _columns_as_series(engine, cp3, scale, order) == (
-        _columns_as_series(divided, cp3, scale, order)
+    model, size = tangent.model, tangent.model.top_index + 1
+    plus, minus = RootBundle(model, tangent.plus_roots), RootBundle(model, tangent.minus_roots)
+    scale = common_scale([tangent])
+    engine = _loop_inverse(power_sums(tangent, scale, size), order + 1)
+    divided = _divide(loop_normal_decomposition(plus, order), scale, size, order + 1)
+    assert _columns_as_series(engine, model, scale, order) == (
+        _columns_as_series(divided, model, scale, order)
         * euler_class(loop_normal_decomposition(minus, order), order))
+
+
+@st.composite
+def surface_tangents(draw):
+    """(g, plus, minus): a virtual tangent of rank 1 whose roots sum to 2 - 2g, as root strings."""
+    genus = draw(st.integers(0, 3))
+    minus = draw(st.lists(ROOTS, max_size=2))
+    plus = draw(st.lists(ROOTS, min_size=len(minus), max_size=len(minus)))
+    plus.append(2 - 2 * genus - sum(plus) + sum(minus))
+    return genus, [str(r) for r in plus], [str(r) for r in minus]
+
+
+@settings(max_examples=100, deadline=None)
+@given(surface_tangents(), st.integers(0, 10))
+def test_a_virtual_surface_tangent_gives_the_loop_surface(surface, order):
+    # on a surface the loop index reads the tangent only through its rank 1 and its first
+    # Chern class, the sum of its roots: any virtual tangent with 2 - 2g solves to the preset
+    genus, plus, minus = surface
+    document = {"manifold": f"sigma:{genus}" if genus else "s2", "normal": "loop",
+                "tangent": {"plus": plus, "minus": minus}, "F": [{"weight": 0, "plus": [0]}],
+                "order": order}
+    preset = preset_spec(f"lsigma:{genus}" if genus else "ls2", order)
+    assert localized_index(parse_problem(json.dumps(document))) == localized_index(preset)
 
 
 def test_the_loop_recurrence_matches_division_at_order_60():
