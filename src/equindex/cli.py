@@ -27,7 +27,7 @@ from .index import (
     preset_spec,
 )
 from .localization import NormalDecomposition
-from .series import SchemaError, parse_int, render_series, shorten
+from .series import DigitLimit, SchemaError, parse_int, render_series, shorten
 
 if TYPE_CHECKING:
     import argparse
@@ -123,6 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
         """parse_int(text), with a refusal that quotes a bad value cut short, unlike argparse."""
         try:
             return parse_int(text)
+        except DigitLimit as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {shorten(repr(text))}") from None
 
@@ -157,8 +159,7 @@ def run(argv: list[str] | None = None) -> int:
         parser.error(f"unrecognized arguments: {shorten(' '.join(stray))}")
     try:
         if args.preset is not None:
-            order = args.order if args.order is not None else DEFAULT_ORDER
-            series = localized_index(preset_spec(args.preset, order))
+            spec = preset_spec(args.preset, DEFAULT_ORDER)
         else:
             try:
                 with open(args.input, "r", encoding="utf-8") as handle:
@@ -168,10 +169,10 @@ def run(argv: list[str] | None = None) -> int:
                       file=sys.stderr)
                 return 2
             spec = parse_problem(text)
-            if args.order is not None:
-                spec = ProblemSpec(model=spec.model, tangent=spec.tangent, normal=spec.normal,
-                                   F=spec.F, L=spec.L, order=args.order)
-            series = localized_index(spec)
+        if args.order is not None:
+            spec = ProblemSpec(model=spec.model, tangent=spec.tangent, normal=spec.normal,
+                               F=spec.F, L=spec.L, order=args.order)
+        series = localized_index(spec)
     except ValueError as exc:
         print(f"equindex: {exc}", file=sys.stderr)
         return 1

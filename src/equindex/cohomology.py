@@ -12,8 +12,8 @@ import functools
 from fractions import Fraction
 from typing import Any, Iterable
 
-from .series import (QQ, CoefficientRing, NotInvertible, QSeries, Record, SchemaError, as_fraction,
-                     parse_int, render_terms, shorten)
+from .series import (QQ, CoefficientRing, DigitLimit, NotInvertible, QSeries, Record, SchemaError,
+                     as_fraction, parse_int, render_terms, shorten)
 
 
 class UnsupportedModel(SchemaError):
@@ -62,6 +62,8 @@ def model_from_name(name: Any) -> ManifoldModel:
 def _parse_suffix(name: str, prefix: str, minimum: int) -> int:
     try:
         value = parse_int(name[len(prefix):])
+    except DigitLimit as exc:  # a valid name that the interpreter will not read: not unsupported
+        raise SchemaError("manifold", f"manifold parameter {exc}") from None
     except ValueError:
         raise UnsupportedModel(
             "manifold", f"manifold parameter must be an integer: {shorten(repr(name))}") from None
@@ -166,15 +168,15 @@ class CohRing(Record, CoefficientRing):
         self._set_fields(model)
 
     @property
-    def name(self) -> str:  # type: ignore[override]
+    def name(self) -> str:
         return f"H({self.model})"
 
     @functools.cached_property
-    def zero(self) -> CohClass:  # type: ignore[override]
+    def zero(self) -> CohClass:
         return CohClass([0] * (self.model.top_index + 1))
 
     @functools.cached_property
-    def one(self) -> CohClass:  # type: ignore[override]
+    def one(self) -> CohClass:
         return unit_class(self.model)
 
     def coerce(self, value: Any) -> CohClass:

@@ -19,8 +19,8 @@ from typing import Iterable, Sequence, Union
 
 from .charclasses import RootBundle, merge_by_weight
 from .cohomology import ManifoldModel, ModelMismatch, UnsupportedModel, model_from_name
-from .localization import LOOP, NormalDecomposition, localized_index
-from .series import QSeries, Record, SchemaError, parse_int, shorten
+from .localization import LOOP, NormalDecomposition, check_order, localized_index
+from .series import DigitLimit, QSeries, Record, SchemaError, parse_int, shorten
 
 
 class DifferenceLine(Record):
@@ -93,9 +93,7 @@ class ProblemSpec(Record):
                                         f"(a NormalDecomposition), got {shorten(repr(normal))}")
         if F.model != model:
             raise ModelMismatch("coefficient bundle lives on a different model")
-        if type(order) is not int or order < 0:
-            raise SchemaError("order",
-                              f"must be a nonnegative integer, got {shorten(repr(order))}")
+        check_order(order)
         self._set_fields(model, tangent, normal, F, L, order)
 
 
@@ -140,19 +138,15 @@ def cplane_spec(weight: int, coefficients: Sequence[int], order: int) -> Problem
     The sign of ``weight`` selects the difference line: trivial for
     weight > 0, and -q^|weight| for weight < 0.
     """
-    if weight == 0:
-        raise ValueError("the plane rotation weight must be nonzero")
+    if type(weight) is not int or weight == 0:
+        raise ValueError(f"the plane rotation weight must be a nonzero integer, got {weight!r}")
     point = model_from_name("point")
     terms = []
     for n, c_n in enumerate(coefficients):
         if not isinstance(c_n, int) or isinstance(c_n, bool):
             raise ValueError(f"F-multiplicities must be integers, got {c_n!r}")
-        if c_n == 0:
-            continue
-        if c_n > 0:
-            terms.append((n, RootBundle(point, (0,) * c_n)))
-        else:
-            terms.append((n, RootBundle(point, (), (0,) * (-c_n))))
+        if c_n:
+            terms.append((n, RootBundle(point, (0,) * max(c_n, 0), (0,) * max(-c_n, 0))))
     normal = NormalDecomposition(point, ((abs(weight), RootBundle(point, (0,))),))
     line = DifferenceLine() if weight > 0 else DifferenceLine(-1, abs(weight))
     return ProblemSpec(
@@ -175,6 +169,8 @@ def preset_spec(name: str, order: int) -> ProblemSpec:
     if name.startswith("cplane:"):
         try:
             weight = parse_int(name[len("cplane:"):])
+        except DigitLimit as exc:
+            raise ValueError(f"preset parameter {exc}") from None
         except ValueError:
             raise ValueError(
                 f"preset parameter must be an integer: {shorten(repr(name))}") from None

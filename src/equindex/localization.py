@@ -68,8 +68,15 @@ class NormalDecomposition(Record):
         self._set_fields(model, merge_by_weight(model, components, "normal component"))
 
 
+def check_order(order: int) -> None:
+    """Refuse a truncation order that is not a nonnegative integer, at the path ``order``."""
+    if type(order) is not int or order < 0:
+        raise SchemaError("order", f"must be a nonnegative integer, got {shorten(repr(order))}")
+
+
 def inverse_euler_class(decomposition: NormalDecomposition, order: int) -> QSeries:
     """Inverse of the Euler class modulo q^(order+1), from the division kernel."""
+    check_order(order)
     model = decomposition.model
     size = model.top_index + 1
     bundles = [b for _, b in decomposition.components]

@@ -71,20 +71,10 @@ class CoefficientRing:
     """Minimal interface a coefficient ring must provide to QSeries.
 
     Elements support ``+``, ``-`` and ``*`` among themselves, and an element
-    is zero exactly when it is falsy; the ring object supplies its name,
-    the constants, coercion of raw input, and the inverse of a unit.
+    is zero exactly when it is falsy.  A ring supplies five members: ``name``,
+    the constants ``zero`` and ``one``, ``coerce(value)`` for raw input, and
+    ``invert_unit(value)``, which raises NotInvertible for a non-unit.
     """
-
-    name = "ring"
-    zero: Scalar = None
-    one: Scalar = None
-
-    def coerce(self, value: Any) -> Scalar:
-        raise NotImplementedError
-
-    def invert_unit(self, value: Scalar) -> Scalar:
-        """Inverse of a unit; raises NotInvertible for non-units."""
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         return self.name
@@ -119,14 +109,23 @@ def shorten(text: str) -> str:
     return text if len(text) <= 60 else text[:60] + "..."
 
 
+class DigitLimit(ValueError):
+    """A well-formed integer in text with more digits than the interpreter converts."""
+
+
 def parse_int(text: str) -> int:
     """The integer written as an optional sign and ASCII digits; ValueError for other text.
 
     ``int`` alone would also take underscores, surrounding whitespace and non-ASCII
-    digits; a second sign passes the test here and ``int`` refuses it.
+    digits.  Past the interpreter's limit on the digits of an integer in text, ``int``
+    refuses a valid integer as if it were malformed; here that raises ``DigitLimit``.
     """
-    if not (text.isascii() and text.lstrip("+-").isdigit()):
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a decimal integer: {shorten(repr(text))}")
+    limit = sys.get_int_max_str_digits()  # 0 when the interpreter sets none
+    if limit and len(digits) > limit:
+        raise DigitLimit(f"{shorten(repr(text))} has more than {limit} digits")
     return int(text)
 
 
@@ -303,7 +302,7 @@ class QSeries(Record):
     # -- ring operations ----------------------------------------------
 
     def _check_ring(self, other: "QSeries") -> None:
-        if self.ring is not other.ring and self.ring != other.ring:
+        if self.ring != other.ring:
             raise ValueError(f"coefficient ring mismatch: {self.ring.name} vs {other.ring.name}")
 
     def __add__(self, other: "QSeries") -> "QSeries":
@@ -311,10 +310,6 @@ class QSeries(Record):
             return NotImplemented
         self._check_ring(other)
         order = min(self.order, other.order)
-        if not other.coeffs:
-            return self.truncate(order)
-        if not self.coeffs:
-            return other.truncate(order)
         low, high = (self, other) if self.lowest <= other.lowest else (other, self)
         window = list(low.coeffs)
         start = high.lowest - low.lowest
@@ -370,9 +365,7 @@ class QSeries(Record):
 
     def truncate(self, order: int) -> "QSeries":
         """Forget everything above q^order (never adds knowledge)."""
-        if order >= self.order:
-            return self
-        return QSeries._trusted(self.ring, self.lowest, self.coeffs, order)
+        return QSeries._trusted(self.ring, self.lowest, self.coeffs, min(order, self.order))
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse by long division.

@@ -31,6 +31,7 @@ from equindex import (
     parse_problem,
     preset_spec,
 )
+from equindex.series import parse_int, shorten
 
 LS2_DOC = {
     "manifold": "s2",
@@ -546,6 +547,24 @@ def test_integers_in_text_are_plain_ascii_decimals(tmp_path):
     for coefficient in ("1_0", " 2 ", "３"):
         with pytest.raises(ValueError, match="not a decimal integer"):
             QSeries.from_json(ZZ, {"lowest": 0, "order": 2, "coeffs": ["1", coefficient]})
+    # a valid integer past the interpreter's digit limit is named as such, not as malformed
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * (limit + 700)
+    past = f"{shorten(repr(nines))} has more than {limit} digits\n"
+    path.write_text(json.dumps({**LS2_DOC, "manifold": "cpn:" + nines}))
+    for args, code, text in (
+        (("--preset", "lsigma:" + nines), 1, "equindex: manifold: manifold parameter " + past),
+        (("--preset", "cplane:" + nines), 1, "equindex: preset parameter " + past),
+        (("--input", str(path)), 1, "equindex: manifold: manifold parameter " + past),
+        (("--preset", "cplane:1", "--order", nines), 2,
+         "equindex: error: argument --order: " + past),
+    ):
+        result = run_cli(*args)
+        assert (result.returncode, result.stdout) == (code, "")
+        assert result.stderr.splitlines(keepends=True)[-1] == text
+    with pytest.raises(ValueError, match=f" has more than {limit} digits$"):
+        QSeries.from_json(ZZ, {"lowest": 0, "order": 2, "coeffs": [nines]})
+    assert parse_int("-" + "0" * (limit - 1) + "7") == -7  # the limit itself is read
 
 
 def test_negative_order_flag_is_rejected(tmp_path):

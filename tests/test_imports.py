@@ -37,3 +37,34 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_definitions(sources: list[str]) -> list[str]:
+    """The ``_name`` functions, classes and methods ``sources`` define and never read.
+
+    A read is a bare name or an attribute in Load context, in any of the sources; dunder
+    methods are read by the interpreter, so they are left out.
+    """
+    defined, read = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(defined - read)
+
+
+def test_the_check_finds_an_unread_private_definition():
+    box = "class _Box:\n    def _peek(self): pass\n    def __len__(self): return 0\n"
+    sources = [box + "def _orphan(): pass\ndef _used(): pass\n_Box()._peek = None\n",
+               "from a import _used\n_used()\n"]
+    assert unread_private_definitions(sources) == ["_orphan", "_peek"]
+
+
+def test_every_private_definition_is_read():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_definitions(sources) == []

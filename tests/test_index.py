@@ -123,8 +123,13 @@ def test_deep_loop_presets_match_the_partition_convolution():
 
 
 def test_plane_rejects_weight_zero():
-    with pytest.raises(ValueError):
-        cplane_spec(0, (1,), 4)
+    # a weight is a nonzero int: not a boolean, a numeric string or an integral float
+    for weight in (0, True, "2", 2.0, Fraction(2)):
+        with pytest.raises(ValueError) as refused:
+            cplane_spec(weight, (1,), 4)
+        assert str(refused.value) == (
+            f"the plane rotation weight must be a nonzero integer, got {weight!r}")
+        assert not isinstance(refused.value, SchemaError)
     with pytest.raises(ValueError, match="F-multiplicities must be integers"):
         cplane_spec(1, (1, 0.5), 4)
 

@@ -450,3 +450,17 @@ def test_an_oversized_problem_is_refused_at_its_path():
             refuse()
         assert refused.value.path == path
         assert str(refused.value).startswith(f"{path}: ")
+
+
+def test_inverse_euler_class_reads_the_order_by_the_problem_rule():
+    decomposition = NormalDecomposition(S2, [(1, RootBundle(S2, (1,)))])
+    spec = _cpn_spec(2, 0)
+    for order in (-3, -1, 2.5, "3", True):
+        with pytest.raises(SchemaError) as refused:
+            inverse_euler_class(decomposition, order)
+        assert str(refused.value) == f"order: must be a nonnegative integer, got {order!r}"
+        with pytest.raises(SchemaError) as by_spec:
+            ProblemSpec(model=spec.model, tangent=spec.tangent, normal=spec.normal, F=spec.F,
+                        order=order)
+        assert str(by_spec.value) == str(refused.value)
+    assert inverse_euler_class(decomposition, 0).order == 0

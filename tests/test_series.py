@@ -227,6 +227,39 @@ def test_sum_and_product_are_coefficientwise(pair):
     assert_normal_form(product)
 
 
+def test_a_sum_is_the_termwise_sum_on_seeded_pairs():
+    # the normal form that the zero-operand shortcuts of __add__ used to return, on
+    # zero operands, negative lowest exponents and unequal orders alike
+    rng = random.Random(26)
+    draws = {
+        ZZ: lambda: rng.randint(-3, 3),
+        QQ: lambda: Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))),
+        CP2_RING: lambda: CohClass([rng.choice((0, 0, 1, -1, Fraction(1, 2))) for _ in range(3)]),
+    }
+
+    def draw(ring) -> QSeries:
+        lowest = rng.randint(-5, 5)
+        window = [] if rng.random() < 0.25 else [draws[ring]() for _ in range(rng.randint(1, 8))]
+        return QSeries(ring, lowest, window, lowest + rng.randint(-1, 10))
+
+    def fields(series: QSeries) -> tuple:
+        return series.lowest, [str(c) for c in series.coeffs], series.order
+
+    zero_operands = 0
+    for ring in draws:
+        for _ in range(800):
+            a, b = draw(ring), draw(ring)
+            zero_operands += a.is_zero or b.is_zero
+            order = min(a.order, b.order)
+            terms: dict = {}
+            for exponent, value in (*a.terms(), *b.terms()):
+                if exponent <= order:
+                    terms[exponent] = terms.get(exponent, ring.zero) + value
+            expected = QSeries.from_terms(ring, terms, order)
+            assert fields(a + b) == fields(b + a) == fields(expected), (a, b)
+    assert zero_operands > 400
+
+
 def test_a_ring_mismatch_names_both_rings():
     with pytest.raises(ValueError, match=r"^coefficient ring mismatch: H\(s2\) vs H\(cpn:2\)$"):
         QSeries.one(CohRing(model_from_name("s2")), 3) * QSeries.one(CP2_RING, 3)
