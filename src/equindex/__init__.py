@@ -4,8 +4,10 @@ The package evaluates fixed-point index formulas with exact rational
 arithmetic: truncated formal q-series over pluggable coefficient rings,
 monogenic even cohomology of the fixed manifold, characteristic classes
 from Chern roots, inverse Euler classes of weighted normal data, and the
-integrated index pipeline.  The JSON/CLI front end (``cli``) and the
-cross-check routes (``oracles``) are loaded on first use.
+integrated index pipeline.  The JSON/CLI front end (``cli``), the
+cross-check routes (``oracles``) and the algebra that no solve runs
+(``algebra``: q-series arithmetic, cohomology classes, ``todd_class`` and
+``inverse_euler_class``) are loaded on first use.
 """
 
 from .series import (
@@ -19,19 +21,9 @@ from .series import (
     ZZ,
     render_series,
 )
-from .cohomology import (
-    CohClass,
-    CohRing,
-    ManifoldModel,
-    ModelMismatch,
-    UnsupportedModel,
-    coh_integrate,
-    model_from_name,
-    scalar_class,
-    unit_class,
-)
-from .charclasses import RootBundle, VirtualBundle, todd_class
-from .localization import NormalDecomposition, WeightError, inverse_euler_class
+from .cohomology import ManifoldModel, ModelMismatch, UnsupportedModel, model_from_name
+from .charclasses import RootBundle, VirtualBundle
+from .localization import NormalDecomposition, WeightError
 from .index import (
     LOOP,
     DifferenceLine,
@@ -73,10 +65,14 @@ __all__ = [
 ]
 
 
-# names loaded on first use (PEP 562), by submodule: no solve needs the oracles,
-# and `import equindex` alone does not need the command line
+# names loaded on first use (PEP 562), by submodule: no solve needs the algebra or the
+# oracles, and `import equindex` alone does not need the command line
 _SUBMODULES = {
     **dict.fromkeys(("cli", "parse_problem"), "cli"),
+    **dict.fromkeys((
+        "CohClass", "CohRing", "coh_integrate", "scalar_class", "unit_class", "todd_class",
+        "inverse_euler_class",
+    ), "algebra"),
     **dict.fromkeys((
         "PartitionTable", "partition_numbers", "naive_inverse", "direct_cplane_index",
         "exponential_class", "chern_character", "lambda_minus_t_factor",

@@ -5,8 +5,9 @@ of rational roots: a root r stands for a line summand with first Chern
 class r*x.  Everything runs over the integers at one scale D, the lcm of the
 root denominators (``common_scale``): ``power_sums`` reads a bundle as the
 coordinates P_k of ch in y = x/D, and ``todd_functional`` integrates y^k/k!
-against td = exp(sum l_k P_k y^k/k!).  The other routes to ch and td, and the
-lambda factors, are cross-checks in ``oracles``.
+against td = exp(sum l_k P_k y^k/k!).  The Todd class itself, ``todd_class``, is
+in ``algebra``; the other routes to ch and td, and the lambda factors, are
+cross-checks in ``oracles``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Any, Iterable, Sequence
 
-from .cohomology import CohClass, ManifoldModel, ModelMismatch
+from .cohomology import ManifoldModel, ModelMismatch
 from .series import Record, SchemaError, as_fraction, shorten
 
 MAX_TOP_INDEX = 100  # largest dimension m taken: the Todd functional's integers grow with m
@@ -161,18 +162,3 @@ def check_dimension(model: ManifoldModel) -> None:
     if model.top_index > MAX_TOP_INDEX:
         raise SchemaError("manifold", f"{shorten(repr(model.name))} has dimension past the bound "
                           f"{MAX_TOP_INDEX}; its Todd class would take too long")
-
-
-def todd_class(bundle: RootBundle) -> CohClass:
-    """td(plus) / td(minus), td = product over roots of rx / (1 - e^(-rx)); the root 0 gives 1.
-
-    >>> from equindex import model_from_name
-    >>> str(todd_class(RootBundle(model_from_name("cpn:4"), (1,))))
-    '1 + 1/2x + 1/12x^2 - 1/720x^4'
-    """
-    check_dimension(bundle.model)
-    scale = common_scale([bundle])
-    common, w = todd_functional(power_sums(bundle, scale, bundle.model.top_index + 1), scale)
-    # the x^(m-k) entry of td is the integral of x^k td = k! D^k y^k/k! td, so k! D^k w_k/common
-    coefficients = [Fraction(v * math.factorial(k) * scale**k, common) for k, v in enumerate(w)]
-    return CohClass(coefficients[::-1])

@@ -13,8 +13,9 @@ times a normalised tower, the divided-power exponential of divisor-sum series,
 whose cost does not grow with the number of tangent roots.  The fixed-point
 integral, ``localized_index``, is the one place where ch(F) and the Todd
 functional meet either kernel's columns, read at one scale D through
-``charclasses.power_sums``.  The product itself and the explicit loop
-decomposition live in ``oracles`` as cross-checks.
+``charclasses.power_sums``.  The inverse Euler class as a series of classes,
+``inverse_euler_class``, is in ``algebra``; the product itself and the explicit
+loop decomposition live in ``oracles`` as cross-checks.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .charclasses import (RootBundle, VirtualBundle, check_dimension, common_scale,
                           merge_by_weight, power_sums, todd_functional)
-from .cohomology import CohClass, CohRing, ManifoldModel
+from .cohomology import ManifoldModel
 from .series import QQ, QSeries, Record, SchemaError, shorten
 
 if TYPE_CHECKING:
@@ -72,22 +73,6 @@ def check_order(order: int) -> None:
     """Refuse a truncation order that is not a nonnegative integer, at the path ``order``."""
     if type(order) is not int or order < 0:
         raise SchemaError("order", f"must be a nonnegative integer, got {shorten(repr(order))}")
-
-
-def inverse_euler_class(decomposition: NormalDecomposition, order: int) -> QSeries:
-    """Inverse of the Euler class modulo q^(order+1), from the division kernel."""
-    check_order(order)
-    model = decomposition.model
-    size = model.top_index + 1
-    bundles = [b for _, b in decomposition.components]
-    scale = common_scale(bundles)
-    _check_work(decomposition, order + 1, size, bundles, scale)
-    columns = _divide(decomposition, scale, size, order + 1)
-    denominators = [math.factorial(k) * scale**k for k in range(size)]
-    coefficients = [
-        CohClass([Fraction(c, d) for c, d in zip(row, denominators)]) for row in zip(*columns)
-    ]
-    return QSeries._trusted(CohRing(model), 0, coefficients, order)
 
 
 def localized_index(spec: ProblemSpec) -> QSeries:

@@ -23,7 +23,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .charclasses import RootBundle, VirtualBundle
-from .cohomology import CohClass, CohRing, ManifoldModel, unit_class
+from .algebra import CohClass, CohRing, unit_class
+from .cohomology import ManifoldModel
 from .localization import NormalDecomposition
 from .series import NotInvertible, QSeries, Record, ZZ, as_fraction
 

@@ -9,6 +9,10 @@ no floating point is ever involved.
 Laurent behaviour is allowed: ``lowest`` may be negative, and arithmetic
 tracks how much of the result is actually determined by the operands'
 truncation windows.
+
+Here are the series record, its normal form, JSON and text, the two rings, the
+readers of numbers in text, ``Record`` and ``SchemaError``.  The arithmetic and
+inversion, which no solve runs, are in ``algebra``, which loads on first use.
 """
 
 from __future__ import annotations
@@ -16,12 +20,13 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 Scalar = Any  # a coefficient-ring element: int, Fraction, or a class supplied by the ring
-# the text ``as_fraction`` reads: a sign and ASCII digits, as "p/q" or as a decimal
-_RATIONAL_TEXT = re.compile(r"[-+]?(?:\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE]([-+]?\d+))?)",
-                            re.ASCII)
+# the text ``as_fraction`` reads: a sign and ASCII digits, as "p/q" or as a decimal, in the
+# groups sign, p, q or sign, whole part, fraction digits, exponent
+_RATIONAL_TEXT = re.compile(
+    r"([-+]?)(?:(\d+)/(\d+)|(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d+))?)", re.ASCII)
 
 
 class NotInvertible(ArithmeticError):
@@ -145,6 +150,7 @@ def as_fraction(value: Any) -> Fraction:
     would also take underscores, whitespace and other scripts' digits), with a decimal
     exponent at most the interpreter's limit on the digits of an integer in text:
     ``Fraction("1e10000000")`` would build 10^(10^7) before any later guard could refuse it.
+    The value is built from the groups of that one match, so the text is read once.
     """
     if type(value) is Fraction:
         return value
@@ -157,9 +163,18 @@ def as_fraction(value: Any) -> Fraction:
     if isinstance(value, str):
         match = _RATIONAL_TEXT.fullmatch(value)
         limit = sys.get_int_max_str_digits()  # 0 when the interpreter sets none
-        try:
-            if match and (not limit or abs(int(match[1] or 0)) <= limit):
-                return Fraction(value)
+        try:  # int() refuses more digits than the limit, and Fraction a zero denominator
+            if match:
+                sign, p, q, whole, digits, exponent = match.groups()
+                exponent = int(exponent or 0)
+                if not limit or abs(exponent) <= limit:
+                    if q is not None:
+                        p, q = int(p), int(q)
+                    else:  # whole.digits times 10^exponent
+                        q = 10**len(digits or "")
+                        p = (int(whole or 0) * q + int(digits or 0)) * 10**max(exponent, 0)
+                        q *= 10**max(-exponent, 0)
+                    return Fraction(-p if sign == "-" else p, q)
         except (ValueError, ZeroDivisionError):
             match = None
         past = f" has a decimal exponent past {limit}" if match else ""
@@ -183,6 +198,25 @@ class RationalRing(CoefficientRing):
 
 ZZ = IntegerRing()
 QQ = RationalRing()
+
+
+class _Forward:
+    """A ``QSeries`` entry whose code is in ``algebra``, which its first lookup loads.
+
+    That lookup puts the entry of the same name in ``algebra._SeriesMethods`` in its place,
+    so later operations cost what they would if ``QSeries`` defined it.  Operators are
+    looked up on the class, so the module cannot load lazily any other way.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance: Any, owner: type) -> Any:
+        from . import algebra
+
+        entry = vars(algebra._SeriesMethods)[self.name]
+        setattr(owner, self.name, entry)
+        return entry.__get__(instance, owner)
 
 
 class QSeries(Record):
@@ -210,6 +244,9 @@ class QSeries(Record):
     order: int
 
     def __init__(self, ring: CoefficientRing, lowest: int, coeffs: Any, order: int):
+        for field, value in (("lowest", lowest), ("order", order)):
+            if type(value) is not int:
+                raise ValueError(f"{field} must be an int, got {shorten(repr(value))}")
         self._normalise(ring, lowest, [ring.coerce(c) for c in coeffs], order)
 
     def _normalise(self, ring: CoefficientRing, lowest: int, window: Any, order: int) -> None:
@@ -236,165 +273,25 @@ class QSeries(Record):
         series._normalise(ring, lowest, window, order)
         return series
 
-    @staticmethod
-    def _truncated_product(a: Sequence, b: Sequence, size: int, zero: Scalar) -> list:
-        """Entries 0..size-1 of the product of two coefficient lists, of series or of classes."""
-        # zero tests cost a pass over a class on H(M): once per operand entry, not per pair
-        mine = [(i, c) for i, c in enumerate(a[:size]) if c]
-        theirs = [(j, c) for j, c in enumerate(b[:size]) if c]
-        window: list = [None] * size
-        for i, c1 in mine:
-            for j, c2 in theirs:
-                k = i + j
-                if k >= size:
-                    break
-                value = c1 * c2
-                acc = window[k]
-                window[k] = value if acc is None else acc + value
-        return [zero if value is None else value for value in window]
+    # -- arithmetic, in ``algebra`` ----------------------------------
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, ring: CoefficientRing, order: int) -> "QSeries":
-        return cls(ring, 0, (), order)
-
-    @classmethod
-    def one(cls, ring: CoefficientRing, order: int) -> "QSeries":
-        return cls(ring, 0, (ring.one,), order)
-
-    @classmethod
-    def from_terms(
-        cls, ring: CoefficientRing, terms: Mapping[int, Any], order: int
-    ) -> "QSeries":
-        """Build a series from an exponent -> coefficient mapping."""
-        if not terms:
-            return cls.zero(ring, order)
-        lowest = min(terms)
-        highest = max(terms)
-        window = [ring.zero] * (highest - lowest + 1)
-        for exponent, value in terms.items():
-            window[exponent - lowest] = value
-        return cls(ring, lowest, window, order)
-
-    # -- inspection ---------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, exponent: int) -> Scalar:
-        """Coefficient of q^exponent; refuses to answer beyond the order."""
-        if exponent > self.order:
-            raise ValueError(
-                f"coefficient of q^{exponent} is unknown beyond order {self.order}"
-            )
-        if exponent < self.lowest or exponent >= self.lowest + len(self.coeffs):
-            return self.ring.zero
-        return self.coeffs[exponent - self.lowest]
-
-    def terms(self) -> Iterator[tuple[int, Scalar]]:
-        """Yield (exponent, coefficient) for the nonzero stored terms."""
-        for offset, value in enumerate(self.coeffs):
-            if value:
-                yield self.lowest + offset, value
-
-    # -- ring operations ----------------------------------------------
-
-    def _check_ring(self, other: "QSeries") -> None:
-        if self.ring != other.ring:
-            raise ValueError(f"coefficient ring mismatch: {self.ring.name} vs {other.ring.name}")
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        self._check_ring(other)
-        order = min(self.order, other.order)
-        low, high = (self, other) if self.lowest <= other.lowest else (other, self)
-        window = list(low.coeffs)
-        start = high.lowest - low.lowest
-        window.extend([self.ring.zero] * (start - len(window)))
-        for k, value in enumerate(high.coeffs, start):
-            if k < len(window):
-                window[k] = window[k] + value
-            else:
-                window.append(value)
-        return QSeries._trusted(self.ring, low.lowest, window, order)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "QSeries":
-        return QSeries._trusted(self.ring, self.lowest, [-c for c in self.coeffs], self.order)
-
-    def __mul__(self, other: Any) -> "QSeries":
-        if not isinstance(other, QSeries):
-            return self.scale(other)
-        self._check_ring(other)
-        ring = self.ring
-        # how far the product is determined by the two truncation windows
-        order = min(self.order + other.lowest, other.order + self.lowest)
-        lowest = self.lowest + other.lowest
-        size = max(min(len(self.coeffs) + len(other.coeffs) - 1, order - lowest + 1), 0)
-        window = QSeries._truncated_product(self.coeffs, other.coeffs, size, ring.zero)
-        return QSeries._trusted(ring, lowest, window, order)
-
-    def __rmul__(self, other: Any) -> "QSeries":
-        return self.scale(other)
-
-    def __pow__(self, exponent: int) -> "QSeries":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("only nonnegative integer powers are defined")
-        result = QSeries.one(self.ring, self.order)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def scale(self, value: Any) -> "QSeries":
-        """Multiply every coefficient by a ring element."""
-        value = self.ring.coerce(value)
-        return QSeries._trusted(
-            self.ring, self.lowest, [value * c for c in self.coeffs], self.order
-        )
-
-    def shift(self, k: int) -> "QSeries":
-        """Multiply by q^k: exponents and the order both move by k."""
-        return QSeries._trusted(self.ring, self.lowest + k, self.coeffs, self.order + k)
-
-    def truncate(self, order: int) -> "QSeries":
-        """Forget everything above q^order (never adds knowledge)."""
-        return QSeries._trusted(self.ring, self.lowest, self.coeffs, min(order, self.order))
-
-    def inverse(self) -> "QSeries":
-        """Multiplicative inverse by long division.
-
-        Writing the series as q^L * (a_0 + a_1 q + ...) with a_0 a unit of
-        the coefficient ring, the inverse is q^(-L) * (b_0 + b_1 q + ...)
-        with b_0 = a_0^(-1) and b_n = -a_0^(-1) * sum_(i=1..n) a_i b_(n-i);
-        only the nonzero a_i are visited.
-
-        >>> str(QSeries(ZZ, 0, (1, -1), 4).inverse())
-        '1 + q + q^2 + q^3 + q^4'
-        >>> QSeries(ZZ, -1, (1, 1), 5).inverse().lowest
-        1
-        """
-        if self.is_zero:
-            raise NotInvertible("the zero series has no inverse")
-        ring = self.ring
-        lead_inv = ring.invert_unit(self.coeffs[0])
-        work = self.order - self.lowest
-        terms = [(i, c) for i, c in enumerate(self.coeffs) if i and c]
-        window = [lead_inv]
-        for n in range(1, work + 1):
-            total = ring.zero
-            for i, c in terms:
-                if i > n:
-                    break
-                total = total + c * window[n - i]
-            window.append(-(lead_inv * total))
-        return QSeries._trusted(ring, -self.lowest, window, work - self.lowest)
+    zero = _Forward()
+    one = _Forward()
+    from_terms = _Forward()
+    is_zero = _Forward()
+    coefficient = _Forward()
+    terms = _Forward()
+    _check_ring = _Forward()
+    __add__ = _Forward()
+    __sub__ = _Forward()
+    __neg__ = _Forward()
+    __mul__ = _Forward()
+    __rmul__ = _Forward()
+    __pow__ = _Forward()
+    scale = _Forward()
+    shift = _Forward()
+    truncate = _Forward()
+    inverse = _Forward()
 
     # -- rendering ----------------------------------------------------
 

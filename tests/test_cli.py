@@ -458,25 +458,32 @@ def test_source_flags_are_mutually_exclusive(tmp_path):
 
 # Modules that importing the package must not load: ``dataclasses`` brings in
 # ``inspect``, ``ast`` and more, and every CLI start pays for what the import loads.
+# No solve loads ``equindex.algebra``, from a preset or from a document.
 IMPORT_PROBE = """
 import sys
+ALGEBRA_NAMES = ("CohClass", "CohRing", "coh_integrate", "scalar_class", "unit_class",
+                 "todd_class", "inverse_euler_class")
 before = set(sys.modules)
 import equindex
-print(sorted({"dataclasses", "inspect", "argparse", "json", "equindex.cli", "equindex.oracles"}
-             & (set(sys.modules) - before)))
+print(sorted({"dataclasses", "inspect", "argparse", "json", "equindex.cli", "equindex.oracles",
+              "equindex.algebra"} & (set(sys.modules) - before)))
 print(" ".join(equindex.__all__))
 equindex.cli.run(["--preset", "cplane:1", "--order", "3"])
-print("json" in set(sys.modules) - before)
-equindex.cli.run(["--preset", "cplane:1", "--order", "3", "--format", "json"])
-print("json" in set(sys.modules) - before)
+print("json" in set(sys.modules) - before, "equindex.algebra" in sys.modules)
+equindex.cli.run(["--input", sys.argv[1], "--format", "json"])
+print("json" in set(sys.modules) - before, "equindex.algebra" in sys.modules)
 moved = {"exponential_class", "chern_character", "lambda_minus_t_factor", "euler_class",
-         "loop_normal_decomposition", "todd_product"}
+         "loop_normal_decomposition", "todd_product", *ALGEBRA_NAMES}
 print(sorted(key for key, module in sys.modules.items()
              if key.split(".")[0] == "equindex" and moved & set(vars(module))))
 print("equindex.oracles" in sys.modules, equindex.partition_numbers(4).values)
 print(equindex.euler_class is equindex.oracles.euler_class)
 print(equindex.SchemaError is equindex.cli.SchemaError)
+print(all(getattr(equindex, name) is getattr(equindex.algebra, name) for name in ALGEBRA_NAMES),
+      [name for name in equindex.__all__ if not hasattr(equindex, name)])
 """
+CPLANE_DOC = {"manifold": "point", "tangent": {"plus": []}, "normal": [{"weight": 1, "plus": [0]}],
+              "F": [{"weight": 0, "plus": [0]}], "order": 3}
 
 PUBLIC_NAMES = (
     "CoefficientRing IntegerRing RationalRing ZZ QQ QSeries NotInvertible render_series "
@@ -490,20 +497,23 @@ PUBLIC_NAMES = (
 )
 
 
-def test_import_loads_json_only_for_json_output():
-    result = run_python(IMPORT_PROBE)
+def test_import_loads_json_only_for_json_output(tmp_path):
+    path = tmp_path / "cplane.json"
+    path.write_text(json.dumps(CPLANE_DOC))
+    result = run_python(IMPORT_PROBE, str(path))
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
         "[]",
         PUBLIC_NAMES,
         "1 + q + q^2 + q^3",
-        "False",
+        "False False",
         '{"lowest": 0, "order": 3, "coeffs": ["1", "1", "1", "1"]}',
-        "True",
+        "True False",
         "[]",
         "False (1, 1, 2, 3, 5)",
         "True",
         "True",
+        "True []",
     ]
 
 

@@ -1,4 +1,4 @@
-"""Every module of the package references each name it imports."""
+"""Every module of the package references each name it imports, and a solve loads only its own."""
 
 from __future__ import annotations
 
@@ -10,6 +10,9 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "equindex"
 # __init__.py imports names only to export them
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+# the modules a solve loads, and the ones the package loads only on first use
+SOLVE_MODULES = ("series", "cohomology", "charclasses", "localization", "index", "cli")
+FIRST_USE = {"algebra", "oracles"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,6 +40,46 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def eager_imports(source: str, modules: set[str]) -> list[str]:
+    """The imports of ``modules`` that ``source`` makes outside a function body.
+
+    Such an import runs when the module loads.  An import names every dotted part of its
+    path, so ``from . import algebra``, ``from .algebra import X`` and ``import
+    equindex.algebra`` all name ``algebra``.
+    """
+    found = set()
+    nodes = [ast.parse(source)]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            paths = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            nodes.extend(ast.iter_child_nodes(node))
+            continue
+        found.update(f"{name} (line {node.lineno})"
+                     for path in paths for name in modules & set(path.split(".")))
+    return sorted(found)
+
+
+def test_the_check_finds_an_eager_import():
+    source = ("from . import algebra\nfrom .series import QSeries\nif TYPE_CHECKING:\n"
+              "    from .oracles import euler_class\nclass A:\n    import equindex.algebra\n"
+              "    def f(self):\n        from .algebra import CohClass\n"
+              "async def g():\n    from .oracles import naive_inverse\n")
+    assert eager_imports(source, FIRST_USE) == [
+        "algebra (line 1)", "algebra (line 6)", "oracles (line 4)"]
+
+
+@pytest.mark.parametrize("name", SOLVE_MODULES)
+def test_no_solve_module_loads_the_algebra_or_the_oracles(name):
+    source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+    assert eager_imports(source, FIRST_USE) == []
 
 
 def unread_private_definitions(sources: list[str]) -> list[str]:

@@ -27,7 +27,8 @@ from equindex import (
     naive_inverse,
     partition_numbers,
 )
-from equindex.series import as_fraction, render_terms
+from equindex import algebra
+from equindex.series import _Forward, as_fraction, render_terms
 from support import (
     assert_is_one,
     assert_same_series,
@@ -54,6 +55,27 @@ def test_terms_beyond_the_order_are_dropped():
 def test_zero_series_normal_form():
     assert QSeries(ZZ, 7, (0, 0), 9) == QSeries(ZZ, 0, (), 9)
     assert QSeries(ZZ, 5, (1,), 3).is_zero  # entirely above the order
+
+
+def test_lowest_and_order_must_be_ints():
+    # a float reached render_series before it failed, and True stood for the exponent 1
+    for build, field in (
+        (lambda: QSeries.from_json(ZZ, {"lowest": 0.5, "order": 3, "coeffs": ["1", "2"]}),
+         "lowest"),
+        (lambda: QSeries(ZZ, True, (1, 2), 3), "lowest"),
+        (lambda: QSeries(ZZ, 0, (1, 2), 2.5), "order"),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be an int, got "):
+            build()
+
+
+def test_each_forwarding_entry_becomes_its_algebra_entry():
+    # after its first lookup an entry is the algebra's own, so an operation costs no detour
+    for name, entry in vars(algebra._SeriesMethods).items():
+        if callable(entry) or isinstance(entry, (classmethod, property)):
+            getattr(QSeries, name)
+            assert vars(QSeries)[name] is entry, name
+    assert not [name for name, entry in vars(QSeries).items() if isinstance(entry, _Forward)]
 
 
 def test_coefficient_beyond_order_is_refused():
@@ -92,6 +114,36 @@ def test_a_decimal_exponent_past_the_digit_limit_is_refused():
     for text in ("1e4301", "1e10000000", "1e-10000000", "1E+30000000"):
         with pytest.raises(ValueError, match="decimal exponent past 4300"):
             QQ.coerce(text)
+
+
+_DIGITS = st.text("0123456789", max_size=5)
+_EXPONENTS = st.tuples(st.sampled_from("eE"), st.sampled_from(("", "+", "-")),
+                       st.text("0123456789", min_size=1, max_size=3)).map("".join)
+
+
+@st.composite
+def rational_texts(draw) -> str:
+    """A text of as_fraction's grammar: a sign, then "p/q" or a decimal with an optional exponent."""
+    sign, whole = draw(st.sampled_from(("", "+", "-"))), draw(_DIGITS)
+    if draw(st.booleans()):
+        return f"{sign}{whole or 0}/{draw(_DIGITS) or 0}"
+    digits = draw(st.none() | _DIGITS)
+    if not whole and not digits:
+        whole = "0"
+    fraction = "" if digits is None else "." + digits
+    return sign + whole + fraction + draw(st.just("") | _EXPONENTS)
+
+
+@given(rational_texts())
+def test_rational_text_reads_as_fraction_reads_it(text):
+    # as_fraction builds its value from its own match, not through Fraction(text)
+    try:
+        expected = Fraction(text)
+    except ZeroDivisionError:
+        with pytest.raises(ValueError, match="^not a rational: "):
+            as_fraction(text)
+    else:
+        assert as_fraction(text) == expected
 
 
 # -- arithmetic --------------------------------------------------------
