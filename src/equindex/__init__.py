@@ -21,8 +21,8 @@ from .series import (
     ZZ,
     render_series,
 )
-from .cohomology import ManifoldModel, ModelMismatch, UnsupportedModel, model_from_name
-from .charclasses import RootBundle, VirtualBundle
+from .charclasses import (ManifoldModel, ModelMismatch, RootBundle, UnsupportedModel,
+                          VirtualBundle, model_from_name)
 from .localization import NormalDecomposition, WeightError
 from .index import (
     LOOP,
@@ -42,7 +42,7 @@ __all__ = [
     # series
     "CoefficientRing", "IntegerRing", "RationalRing", "ZZ", "QQ",
     "QSeries", "NotInvertible", "render_series",
-    # cohomology
+    # manifold models and cohomology classes
     "ManifoldModel", "model_from_name", "CohClass", "CohRing",
     "coh_integrate", "scalar_class", "unit_class",
     "ModelMismatch", "UnsupportedModel",

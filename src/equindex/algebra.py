@@ -16,11 +16,11 @@ import math
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from .charclasses import RootBundle, check_dimension, common_scale, power_sums, todd_functional
-from .cohomology import ManifoldModel
+from .charclasses import (ManifoldModel, RootBundle, check_dimension, common_scale,
+                          power_sums, todd_functional)
 from .localization import NormalDecomposition, _check_work, _divide, check_order
 from .series import (QQ, CoefficientRing, NotInvertible, QSeries, Record, Scalar, as_fraction,
-                     render_terms)
+                     check_int, render_terms)
 
 
 def _truncated_product(a: Sequence, b: Sequence, size: int, zero: Scalar) -> list:
@@ -38,6 +38,11 @@ def _truncated_product(a: Sequence, b: Sequence, size: int, zero: Scalar) -> lis
             acc = window[k]
             window[k] = value if acc is None else acc + value
     return [zero if value is None else value for value in window]
+
+
+def _check_ring(a: QSeries, b: QSeries) -> None:
+    if a.ring != b.ring:
+        raise ValueError(f"coefficient ring mismatch: {a.ring.name} vs {b.ring.name}")
 
 
 class _SeriesMethods:
@@ -75,6 +80,7 @@ class _SeriesMethods:
 
     def coefficient(self, exponent: int) -> Scalar:
         """Coefficient of q^exponent; refuses to answer beyond the order."""
+        check_int("exponent", exponent)
         if exponent > self.order:
             raise ValueError(
                 f"coefficient of q^{exponent} is unknown beyond order {self.order}"
@@ -91,14 +97,10 @@ class _SeriesMethods:
 
     # -- ring operations ----------------------------------------------
 
-    def _check_ring(self, other: "QSeries") -> None:
-        if self.ring != other.ring:
-            raise ValueError(f"coefficient ring mismatch: {self.ring.name} vs {other.ring.name}")
-
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        self._check_ring(other)
+        _check_ring(self, other)
         order = min(self.order, other.order)
         low, high = (self, other) if self.lowest <= other.lowest else (other, self)
         window = list(low.coeffs)
@@ -112,9 +114,7 @@ class _SeriesMethods:
         return QSeries._trusted(self.ring, low.lowest, window, order)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self + (-other)
+        return self + (-other) if isinstance(other, QSeries) else NotImplemented
 
     def __neg__(self) -> "QSeries":
         return QSeries._trusted(self.ring, self.lowest, [-c for c in self.coeffs], self.order)
@@ -122,7 +122,7 @@ class _SeriesMethods:
     def __mul__(self, other: Any) -> "QSeries":
         if not isinstance(other, QSeries):
             return self.scale(other)
-        self._check_ring(other)
+        _check_ring(self, other)
         ring = self.ring
         # how far the product is determined by the two truncation windows
         order = min(self.order + other.lowest, other.order + self.lowest)
@@ -131,11 +131,8 @@ class _SeriesMethods:
         window = _truncated_product(self.coeffs, other.coeffs, size, ring.zero)
         return QSeries._trusted(ring, lowest, window, order)
 
-    def __rmul__(self, other: Any) -> "QSeries":
-        return self.scale(other)
-
     def __pow__(self, exponent: int) -> "QSeries":
-        if not isinstance(exponent, int) or exponent < 0:
+        if type(exponent) is not int or exponent < 0:
             raise ValueError("only nonnegative integer powers are defined")
         result = QSeries.one(self.ring, self.order)
         for _ in range(exponent):
@@ -149,12 +146,16 @@ class _SeriesMethods:
             self.ring, self.lowest, [value * c for c in self.coeffs], self.order
         )
 
+    __rmul__ = scale
+
     def shift(self, k: int) -> "QSeries":
         """Multiply by q^k: exponents and the order both move by k."""
+        check_int("k", k)
         return QSeries._trusted(self.ring, self.lowest + k, self.coeffs, self.order + k)
 
     def truncate(self, order: int) -> "QSeries":
         """Forget everything above q^order (never adds knowledge)."""
+        check_int("order", order)
         return QSeries._trusted(self.ring, self.lowest, self.coeffs, min(order, self.order))
 
     def inverse(self) -> "QSeries":
@@ -222,10 +223,7 @@ class CohClass(Record):
         return CohClass(a + b for a, b in zip(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "CohClass") -> "CohClass":
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        self._check_length(other)
-        return CohClass(a - b for a, b in zip(self.coeffs, other.coeffs))
+        return self + (-other) if isinstance(other, CohClass) else NotImplemented
 
     def __neg__(self) -> "CohClass":
         return CohClass(-a for a in self.coeffs)
@@ -239,8 +237,7 @@ class CohClass(Record):
         scalar = as_fraction(other)
         return CohClass(scalar * a for a in self.coeffs)
 
-    def __rmul__(self, other: Any) -> "CohClass":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __str__(self) -> str:
         return render_terms(enumerate(self.coeffs), "x")

@@ -7,7 +7,8 @@ root denominators (``common_scale``): ``power_sums`` reads a bundle as the
 coordinates P_k of ch in y = x/D, and ``todd_functional`` integrates y^k/k!
 against td = exp(sum l_k P_k y^k/k!).  The Todd class itself, ``todd_class``, is
 in ``algebra``; the other routes to ch and td, and the lambda factors, are
-cross-checks in ``oracles``.
+cross-checks in ``oracles``.  The manifold models live here too: ``ManifoldModel``
+(a name, the top index m of Q[x]/(x^(m+1)), a surface's genus) and ``model_from_name``.
 """
 
 from __future__ import annotations
@@ -19,10 +20,66 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import Any, Iterable, Sequence
 
-from .cohomology import ManifoldModel, ModelMismatch
-from .series import Record, SchemaError, as_fraction, shorten
+from .series import DigitLimit, Record, SchemaError, as_fraction, parse_int, shorten
 
 MAX_TOP_INDEX = 100  # largest dimension m taken: the Todd functional's integers grow with m
+
+
+class UnsupportedModel(SchemaError):
+    """An unknown manifold name, or the wrong kind of model for an op, at the path ``manifold``."""
+
+
+class ModelMismatch(ValueError):
+    """Two objects built over different manifold models were combined."""
+
+
+class ManifoldModel(Record):
+    """A manifold's name, its top cohomology index m, and its genus if it is a surface."""
+
+    _fields = ("name", "top_index", "genus")
+
+    def __init__(self, name: str, top_index: int, genus: int | None = None):
+        if top_index < 0:
+            raise ValueError("top cohomology index must be nonnegative")
+        self._set_fields(name, top_index, genus)
+
+    def __str__(self) -> str:
+        return self.name
+
+
+def model_from_name(name: Any) -> ManifoldModel:
+    """Resolve a manifold preset name; ``UnsupportedModel`` refuses any other value.
+
+    Supported: ``point``, ``s2``, ``sigma:<g>`` (closed orientable surface
+    of genus g), ``cpn:<n>`` (complex projective n-space).
+    """
+    if not isinstance(name, str):
+        raise UnsupportedModel("manifold", "expected a manifold name string")
+    if name == "point":
+        return ManifoldModel("point", 0)
+    if name == "s2":
+        return ManifoldModel("s2", 1, genus=0)
+    if name.startswith("sigma:"):
+        genus = _parse_suffix(name, "sigma:", minimum=0)
+        return ManifoldModel(f"sigma:{genus}", 1, genus=genus)
+    if name.startswith("cpn:"):
+        n = _parse_suffix(name, "cpn:", minimum=1)
+        return ManifoldModel(f"cpn:{n}", n)
+    raise UnsupportedModel("manifold", f"unknown manifold model: {shorten(repr(name))}")
+
+
+def _parse_suffix(name: str, prefix: str, minimum: int) -> int:
+    try:
+        value = parse_int(name[len(prefix):])
+    except DigitLimit as exc:  # a valid name that the interpreter will not read: not unsupported
+        raise SchemaError("manifold", f"manifold parameter {exc}") from None
+    except ValueError:
+        raise UnsupportedModel(
+            "manifold", f"manifold parameter must be an integer: {shorten(repr(name))}") from None
+    if value < minimum:
+        raise UnsupportedModel(
+            "manifold", f"manifold parameter out of range: {shorten(repr(name))}")
+    return value
 
 
 class VirtualBundle(SchemaError):

@@ -16,8 +16,7 @@ from __future__ import annotations
 import sys
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .charclasses import RootBundle
-from .cohomology import ManifoldModel, model_from_name
+from .charclasses import ManifoldModel, RootBundle, model_from_name
 from .index import (
     DEFAULT_ORDER,
     DifferenceLine,

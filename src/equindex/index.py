@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Union
 
-from .charclasses import RootBundle, merge_by_weight
-from .cohomology import ManifoldModel, ModelMismatch, UnsupportedModel, model_from_name
+from .charclasses import (ManifoldModel, ModelMismatch, RootBundle, UnsupportedModel,
+                          merge_by_weight, model_from_name)
 from .localization import LOOP, NormalDecomposition, check_order, localized_index
 from .series import DigitLimit, QSeries, Record, SchemaError, parse_int, shorten
 

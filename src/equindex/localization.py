@@ -27,9 +27,8 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import TYPE_CHECKING, Iterable
 
-from .charclasses import (RootBundle, VirtualBundle, check_dimension, common_scale,
-                          merge_by_weight, power_sums, todd_functional)
-from .cohomology import ManifoldModel
+from .charclasses import (ManifoldModel, RootBundle, VirtualBundle, check_dimension,
+                          common_scale, merge_by_weight, power_sums, todd_functional)
 from .series import QQ, QSeries, Record, SchemaError, shorten
 
 if TYPE_CHECKING:

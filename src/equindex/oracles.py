@@ -22,9 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .charclasses import RootBundle, VirtualBundle
+from .charclasses import ManifoldModel, RootBundle, VirtualBundle
 from .algebra import CohClass, CohRing, unit_class
-from .cohomology import ManifoldModel
 from .localization import NormalDecomposition
 from .series import NotInvertible, QSeries, Record, ZZ, as_fraction
 

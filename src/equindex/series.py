@@ -24,9 +24,9 @@ from typing import Any, Iterable, Mapping
 
 Scalar = Any  # a coefficient-ring element: int, Fraction, or a class supplied by the ring
 # the text ``as_fraction`` reads: a sign and ASCII digits, as "p/q" or as a decimal, in the
-# groups sign, p, q or sign, whole part, fraction digits, exponent
+# groups sign, p, q or sign, exponent
 _RATIONAL_TEXT = re.compile(
-    r"([-+]?)(?:(\d+)/(\d+)|(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d+))?)", re.ASCII)
+    r"([-+]?)(?:(\d+)/(\d+)|(?=\.?\d)\d*(?:\.\d*)?(?:[eE]([-+]?\d+))?)", re.ASCII)
 
 
 class NotInvertible(ArithmeticError):
@@ -134,6 +134,12 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
+def check_int(name: str, value: Any) -> None:
+    """Refuse a series exponent or order ``name`` whose type is not ``int``: True is not 1."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {shorten(repr(value))}")
+
+
 class SchemaError(ValueError):
     """The one error of a refused problem: its ``message`` and the JSON ``path`` that caused it."""
 
@@ -150,7 +156,8 @@ def as_fraction(value: Any) -> Fraction:
     would also take underscores, whitespace and other scripts' digits), with a decimal
     exponent at most the interpreter's limit on the digits of an integer in text:
     ``Fraction("1e10000000")`` would build 10^(10^7) before any later guard could refuse it.
-    The value is built from the groups of that one match, so the text is read once.
+    A "p/q" is built from the groups of that one match; a decimal it has vetted is read by
+    ``Fraction``.
     """
     if type(value) is Fraction:
         return value
@@ -165,16 +172,11 @@ def as_fraction(value: Any) -> Fraction:
         limit = sys.get_int_max_str_digits()  # 0 when the interpreter sets none
         try:  # int() refuses more digits than the limit, and Fraction a zero denominator
             if match:
-                sign, p, q, whole, digits, exponent = match.groups()
-                exponent = int(exponent or 0)
-                if not limit or abs(exponent) <= limit:
-                    if q is not None:
-                        p, q = int(p), int(q)
-                    else:  # whole.digits times 10^exponent
-                        q = 10**len(digits or "")
-                        p = (int(whole or 0) * q + int(digits or 0)) * 10**max(exponent, 0)
-                        q *= 10**max(-exponent, 0)
-                    return Fraction(-p if sign == "-" else p, q)
+                sign, p, q, exponent = match.groups()
+                if q is not None:
+                    return Fraction(int(sign + p), int(q))
+                if not limit or abs(int(exponent or 0)) <= limit:
+                    return Fraction(value)
         except (ValueError, ZeroDivisionError):
             match = None
         past = f" has a decimal exponent past {limit}" if match else ""
@@ -244,9 +246,8 @@ class QSeries(Record):
     order: int
 
     def __init__(self, ring: CoefficientRing, lowest: int, coeffs: Any, order: int):
-        for field, value in (("lowest", lowest), ("order", order)):
-            if type(value) is not int:
-                raise ValueError(f"{field} must be an int, got {shorten(repr(value))}")
+        check_int("lowest", lowest)
+        check_int("order", order)
         self._normalise(ring, lowest, [ring.coerce(c) for c in coeffs], order)
 
     def _normalise(self, ring: CoefficientRing, lowest: int, window: Any, order: int) -> None:
@@ -281,7 +282,6 @@ class QSeries(Record):
     is_zero = _Forward()
     coefficient = _Forward()
     terms = _Forward()
-    _check_ring = _Forward()
     __add__ = _Forward()
     __sub__ = _Forward()
     __neg__ = _Forward()

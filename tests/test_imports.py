@@ -1,8 +1,10 @@
-"""Every module of the package references each name it imports, and a solve loads only its own."""
+"""Every module of the package references each name it imports, a solve loads only its own,
+and README's Layout names every module."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -11,8 +13,9 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "equindex"
 # __init__.py imports names only to export them
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 # the modules a solve loads, and the ones the package loads only on first use
-SOLVE_MODULES = ("series", "cohomology", "charclasses", "localization", "index", "cli")
+SOLVE_MODULES = ("series", "charclasses", "localization", "index", "cli")
 FIRST_USE = {"algebra", "oracles"}
+README = PACKAGE.parent.parent / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -111,3 +114,24 @@ def test_the_check_finds_an_unread_private_definition():
 def test_every_private_definition_is_read():
     sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_definitions(sources) == []
+
+
+def layout_modules(readme: str) -> list[str]:
+    """The ``.py`` names that open an entry of the fenced block under README's ``## Layout``.
+
+    An entry is indented by two spaces; its continuation lines are indented further.
+    """
+    block = readme.split("\n## Layout\n", 1)[1].split("```")[1]
+    return sorted(re.findall(r"^  (\w+\.py) ", block, re.MULTILINE))
+
+
+def test_the_check_reads_the_layout_entries():
+    readme = ("# p\n\n```\n  z.py  before\n```\n\n## Layout\n\n```\nsrc/p/\n  b.py   one,\n"
+              "         c.py in its text\n  a.py   two\n```\n\n```\n  d.py  after\n```\n")
+    assert layout_modules(readme) == ["a.py", "b.py"]
+
+
+# the mutation runner copies only src, tests and pyproject.toml, so this test skips in its copy
+@pytest.mark.skipif(not README.exists(), reason="no README.md beside the tests")
+def test_the_readme_layout_names_every_module():
+    assert layout_modules(README.read_text(encoding="utf-8")) == [path.name for path in MODULES]

@@ -64,9 +64,17 @@ def test_lowest_and_order_must_be_ints():
          "lowest"),
         (lambda: QSeries(ZZ, True, (1, 2), 3), "lowest"),
         (lambda: QSeries(ZZ, 0, (1, 2), 2.5), "order"),
+        (lambda: QSeries(ZZ, 0, (1, 2), 5).shift(0.5), "k"),
+        (lambda: QSeries(ZZ, 0, (1, 2), 5).truncate(2.5), "order"),
+        (lambda: QSeries(ZZ, 0, (1, 2), 5).truncate(True), "order"),
+        (lambda: QSeries(ZZ, 0, (1, 2), 5).coefficient(1.5), "exponent"),
     ):
         with pytest.raises(ValueError, match=f"^{field} must be an int, got "):
             build()
+    with pytest.raises(ValueError, match="nonnegative integer powers"):
+        QSeries(ZZ, 0, (1, 2), 5) ** True
+    # a negative order only forgets more: compact_trivial_index truncates to one
+    assert QSeries(ZZ, 0, (1, 2), 5).truncate(-1) == QSeries(ZZ, 0, (), -1)
 
 
 def test_each_forwarding_entry_becomes_its_algebra_entry():
@@ -136,7 +144,8 @@ def rational_texts(draw) -> str:
 
 @given(rational_texts())
 def test_rational_text_reads_as_fraction_reads_it(text):
-    # as_fraction builds its value from its own match, not through Fraction(text)
+    # as_fraction builds "p/q" from its own match's groups, and lets Fraction(text) read a
+    # decimal only once that match has vetted its grammar and exponent
     try:
         expected = Fraction(text)
     except ZeroDivisionError:
@@ -177,6 +186,16 @@ def test_scale_and_negation():
     assert series.scale(-2) == QSeries(ZZ, 0, (-2, 4), 5)
     assert -series == series.scale(-1)
     assert 3 * series == series * 3
+
+
+def test_an_operand_of_another_type_is_refused():
+    # a scalar times a series or a class (the __rmul__ aliases) is checked by
+    # test_scale_and_negation and test_cohomology.py::test_addition_and_scaling
+    series, cls = QSeries(ZZ, 0, (1, -2), 5), CohClass((1, 2))
+    for operation in (lambda: series + 1, lambda: 1 + series, lambda: series - 1,
+                      lambda: 1 - series, lambda: cls - 1, lambda: 1 - cls):
+        with pytest.raises(TypeError):
+            operation()
 
 
 def test_power():
